@@ -11,9 +11,8 @@ predict     localization verdict from block-spectrum degeneracy
 
 Coins are selected with `grover | a1 | a2 | a4:p | file:path`; initial
 states with `R | L | U | D` or `custom:a,b,c,d` using complex literals
-like `0.5+0.3i` or `0.5e^{i/3}`.  Exit codes: 0 success, 2 usage error,
-3 numeric/internal-consistency error.  Set QWALK2D_THREADS to spread
-spectral block construction over worker threads.
+like `0.5+0.3i` or `0.5e^{i/3}`.  Exit codes: 0 success, 1 I/O error,
+2 usage error, 3 numeric/internal-consistency error.
 """
 
 from __future__ import annotations

@@ -41,9 +41,7 @@ through projectors, never individual vectors.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,34 +68,101 @@ __all__ = [
 
 #: Absolute tolerance in the complex plane for treating eigenvalues as equal.
 DEGENERACY_TOL = 1e-9
-#: Acceptance bound on ||H v - lambda v|| per eigenpair.
+#: Acceptance bound on ||H v - lambda v|| per eigenpair and on ||V^H V - I|| per block.
 RESIDUAL_TOL = 1e-10
-
-#: Environment variable overriding the worker count for block-parallel work.
-THREADS_ENV = "QWALK2D_THREADS"
 
 
 class SpectralError(RuntimeError):
     """Numeric failure inside the spectral machinery."""
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def momentum_phases(n: int, m: int, size: int) -> np.ndarray:
-    """Diagonal phase factors (w^-n, w^n, w^-m, w^m) of block (n, m)."""
+def momentum_phases(n, m, size: int) -> np.ndarray:
+    """
+    Diagonal phase factors (w^-n, w^n, w^-m, w^m) of block (n, m); momentum
+    arrays broadcast, giving shape (..., 4).
+    """
     w = np.exp(2j * np.pi / size)
-    return np.array([w ** -n, w ** n, w ** -m, w ** m])
+    n, m = np.broadcast_arrays(n, m)
+    return np.stack([w ** -n, w ** n, w ** -m, w ** m], axis=-1)
 
 
-def block_matrix(coin: Coin, n: int, m: int, size: int) -> np.ndarray:
-    """The 4x4 block H(n, m) = diag(phases) @ coin."""
-    return momentum_phases(n, m, size)[:, None] * coin.entries
+def block_matrix(coin: Coin, n, m, size: int) -> np.ndarray:
+    """The 4x4 block H(n, m) = diag(phases) @ coin, stacked over broadcast momenta."""
+    return momentum_phases(n, m, size)[..., :, None] * coin.entries
+
+
+def cluster_indices(values: np.ndarray):
+    """
+    Group unimodular values equal within DEGENERACY_TOL.
+
+    The values are sorted by angle and split wherever neighbours lie more
+    than the tolerance apart, so members chain as in a transitive closure.
+    The runs at the two ends of the sort are joined when they meet across
+    the branch cut at -1, where the diffusion coin's largest cluster sits.
+
+    Returns a list of (mean value, ascending index array), sorted by
+    (re, im) of the mean.
+    """
+    values = np.asarray(values)
+    order = np.argsort(np.angle(values), kind="stable")
+    ordered = values[order]
+    runs = np.split(order, np.flatnonzero(np.abs(np.diff(ordered)) > DEGENERACY_TOL) + 1)
+    if len(runs) > 1 and abs(ordered[-1] - ordered[0]) <= DEGENERACY_TOL:
+        runs[0] = np.concatenate([runs.pop(), runs[0]])
+    clusters = []
+    for idx in runs:
+        idx = np.sort(idx)
+        clusters.append((complex(values[idx].mean()), idx))
+    clusters.sort(key=lambda item: (item[0].real, item[0].imag))
+    return clusters
+
+
+def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Diagonalize the blocks H(n, m) over broadcast momentum arrays with one
+    eig call.
+
+    Returns the eigenvalues (..., 4), lexsorted by (re, im) within each
+    block, and the paired unit eigenvector columns (..., 4, 4).  Where an
+    eigenvalue repeats within a block, its copies are replaced by their mean
+    and its columns are QR-orthonormalized, so every eigenvector matrix is
+    unitary.
+
+    Raises
+    ------
+    SpectralError
+        If the eigensolver fails, or the largest eigenpair residual or
+        ||V^H V - I|| of a block exceeds 1e-10; the message names the block.
+    """
+    bn, bm = np.broadcast_arrays(n, m)
+    h = block_matrix(coin, n, m, size)
+    try:
+        values, vectors = np.linalg.eig(h)
+    except np.linalg.LinAlgError as exc:
+        where = f"block ({bn}, {bm})" if bn.ndim == 0 else f"a stack of {bn.size} blocks"
+        raise SpectralError(f"eigendecomposition failed for {where}: {exc}")
+    close = np.abs(values[..., :, None] - values[..., None, :]) <= DEGENERACY_TOL
+    for b in map(tuple, np.argwhere(close.sum(axis=(-2, -1)) > 4)):
+        for value, idx in cluster_indices(values[b]):
+            if len(idx) > 1:
+                values[b][idx] = value
+                vectors[b][:, idx] = np.linalg.qr(vectors[b][:, idx])[0]
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    checks = (
+        ("eigenpair residual", h @ vectors - vectors * values[..., None, :]),
+        ("eigenvector unitarity error", vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(4)),
+    )
+    for what, error in checks:
+        error = np.abs(error).max(axis=(-2, -1))
+        worst = np.unravel_index(np.argmax(error), error.shape)
+        if not error[worst] <= RESIDUAL_TOL:
+            raise SpectralError(
+                f"{what} {error[worst]:.3e} in block ({bn[worst]}, {bm[worst]}) "
+                f"exceeds {RESIDUAL_TOL:.0e}"
+            )
+    return values, vectors
 
 
 @dataclass(frozen=True)
@@ -116,23 +181,10 @@ class MomentumBlock:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def eigen_groups(self, tol: float = DEGENERACY_TOL):
+    def eigen_groups(self):
         """Yield (eigenvalue, column matrix) per distinct eigenvalue."""
-        for value, idx in _cluster_indices(self.eigenvalues, tol):
+        for value, idx in cluster_indices(self.eigenvalues):
             yield value, self.eigenvectors[:, idx]
-
-
-def _grouped_eigensystem(h: np.ndarray, tol: float = DEGENERACY_TOL):
-    """
-    Numeric eigensystem of a normal 4x4 matrix as (value, orthonormal
-    columns) groups, one per distinct eigenvalue.
-    """
-    values, vectors = np.linalg.eig(h)
-    groups = []
-    for value, idx in _cluster_indices(values, tol):
-        q, _ = np.linalg.qr(vectors[:, idx])
-        groups.append((value, q))
-    return groups
 
 
 def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
@@ -142,34 +194,14 @@ def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
     Raises
     ------
     SpectralError
-        If the eigensolver fails or an eigenpair residual exceeds 1e-10;
-        the message carries the block coordinates.
+        If the eigensolver fails, or an eigenpair residual or the deviation
+        of the eigenvectors from orthonormality exceeds 1e-10; the message
+        carries the block coordinates.
     """
     if not (0 <= n < size and 0 <= m < size):
         raise ValueError(f"momenta must lie in 0..{size - 1}, got ({n}, {m})")
-    h = block_matrix(coin, n, m, size)
-    try:
-        groups = _grouped_eigensystem(h)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigendecomposition failed for block ({n}, {m}): {exc}")
-    values = []
-    columns = []
-    for value, q in groups:
-        for k in range(q.shape[1]):
-            values.append(value)
-            columns.append(q[:, k])
-    values = np.array(values)
-    vectors = np.column_stack(columns)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    residual = np.abs(h @ vectors - vectors * values[None, :]).max()
-    if residual > RESIDUAL_TOL:
-        raise SpectralError(
-            f"eigenpair residual {residual:.3e} in block ({n}, {m}) exceeds "
-            f"{RESIDUAL_TOL:.0e}"
-        )
-    return MomentumBlock(n, m, size, h, values, vectors)
+    values, vectors = _eigensystems(coin, n, m, size)
+    return MomentumBlock(n, m, size, block_matrix(coin, n, m, size), values, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -353,56 +385,8 @@ def degeneracy_class(n: int, m: int, size: int, k: int = 3) -> DegeneracyClass:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue clustering across blocks
+# Clustered global spectrum
 # ---------------------------------------------------------------------------
-
-class _UnionFind:
-    def __init__(self, count: int):
-        self.parent = list(range(count))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
-def _cluster_indices(values: np.ndarray, tol: float = DEGENERACY_TOL):
-    """
-    Group complex values equal within `tol` via union-find, sweeping in
-    order of real part so only nearby pairs are compared.
-
-    Returns a list of (mean value, index array), sorted by (re, im).
-    """
-    values = np.asarray(values)
-    count = len(values)
-    uf = _UnionFind(count)
-    order = np.argsort(values.real, kind="stable")
-    for a in range(count):
-        i = order[a]
-        for b in range(a + 1, count):
-            j = order[b]
-            if values.real[j] - values.real[i] > tol:
-                break
-            if abs(values[i] - values[j]) <= tol:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(uf.find(i), []).append(i)
-    clusters = []
-    for idx in groups.values():
-        idx = np.array(idx)
-        clusters.append((complex(values[idx].mean()), idx))
-    clusters.sort(key=lambda item: (item[0].real, item[0].imag))
-    return clusters
-
 
 @dataclass(frozen=True)
 class EigenvalueCluster:
@@ -417,54 +401,41 @@ class SpectralDecomposition:
     """
     All N^2 momentum blocks of a coin plus the clustered global spectrum.
 
-    Immutable once built; blocks are independent, so construction may be
-    spread over worker threads (QWALK2D_THREADS) without affecting the
-    result.
+    The block eigensystems are held as arrays: `values` (N, N, 4) and
+    `vectors` (N, N, 4, 4), each block ordered as `build_block` orders it;
+    `block(n, m)` wraps one of them as a MomentumBlock.
     """
 
-    coin_label: str
+    coin: Coin
     size: int
-    blocks: tuple[MomentumBlock, ...]
+    values: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
     clusters: tuple[EigenvalueCluster, ...] = field(repr=False)
 
     @classmethod
     def build(cls, coin: Coin, size: int) -> "SpectralDecomposition":
-        rows = range(size)
-
-        def build_row(n: int) -> list[MomentumBlock]:
-            return [build_block(coin, n, m, size) for m in range(size)]
-
-        workers = _thread_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_row = list(pool.map(build_row, rows))
-        else:
-            per_row = [build_row(n) for n in rows]
-        blocks = tuple(block for row in per_row for block in row)
-        values = np.concatenate([block.eigenvalues for block in blocks])
+        momenta = np.arange(size)
+        values, vectors = _eigensystems(coin, momenta[:, None], momenta, size)
         clusters = tuple(
             EigenvalueCluster(value, len(idx))
-            for value, idx in _cluster_indices(values)
+            for value, idx in cluster_indices(values.ravel())
         )
-        return cls(coin.label, size, blocks, clusters)
+        return cls(coin, size, values, vectors, clusters)
 
     def block(self, n: int, m: int) -> MomentumBlock:
-        return self.blocks[n * self.size + m]
+        return MomentumBlock(
+            n, m, self.size, block_matrix(self.coin, n, m, self.size),
+            self.values[n, m], self.vectors[n, m],
+        )
 
-    def common_eigenvalues(self, tol: float = DEGENERACY_TOL) -> tuple[complex, ...]:
-        """Eigenvalues present in every momentum block (within tol)."""
-        candidates = list(self.blocks[0].eigenvalues)
-        common = []
-        for value in candidates:
-            if all(
-                np.abs(block.eigenvalues - value).min() <= tol
-                for block in self.blocks
-            ):
-                common.append(value)
-        if not common:
-            return ()
-        merged = [value for value, _ in _cluster_indices(np.array(common), tol)]
-        return tuple(merged)
+    def common_eigenvalues(self) -> tuple[complex, ...]:
+        """Eigenvalues present in every momentum block."""
+        blocks = self.size ** 2
+        return tuple(
+            value
+            for value, idx in cluster_indices(self.values.ravel())
+            if len(idx) >= blocks and len(np.unique(idx // 4)) == blocks
+        )
 
     def max_multiplicity(self) -> int:
         return max(cluster.multiplicity for cluster in self.clusters)
@@ -475,7 +446,7 @@ class SpectralDecomposition:
             key=lambda c: (-c.multiplicity, c.value.real, c.value.imag),
         )
         return {
-            "coin": self.coin_label,
+            "coin": self.coin.label,
             "N": self.size,
             "clusters": [
                 {
@@ -503,33 +474,44 @@ def evolve_spectral(initial: WalkState, coin: Coin, t: int) -> WalkState:
     eigendecomposition instead of step-by-step evolution.
 
     The amplitudes are Fourier transformed, each momentum component is
-    propagated through its block eigensystem with eigenvalues raised to
-    the t-th power, and the result is transformed back.
+    propagated as V diag(l^t) V^H through its block's unitary
+    eigensystem, and the result is transformed back.  Blocks are
+    diagonalized one momentum row at a time, which keeps the eigensystems
+    held at once to O(N).
     """
     t = int(t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     size = initial.n
+    momenta = np.arange(size)
     transformed = np.fft.fft2(initial.amplitudes, axes=(0, 1))
-    out = np.empty_like(transformed)
     for n in range(size):
-        for m in range(size):
-            h = block_matrix(coin, n, m, size)
-            try:
-                values, vectors = np.linalg.eig(h)
-            except np.linalg.LinAlgError as exc:
-                raise SpectralError(
-                    f"eigendecomposition failed for block ({n}, {m}): {exc}"
-                )
-            coeff = np.linalg.solve(vectors, transformed[n, m])
-            out[n, m] = vectors @ (values ** t * coeff)
-    amplitudes = np.fft.ifft2(out, axes=(0, 1))
+        values, vectors = _eigensystems(coin, n, momenta, size)
+        coeff = (vectors.conj().swapaxes(-1, -2) @ transformed[n, :, :, None])[..., 0]
+        transformed[n] = (vectors @ (values ** t * coeff)[..., None])[..., 0]
+    amplitudes = np.fft.ifft2(transformed, axes=(0, 1))
     return WalkState(amplitudes, initial.t + t, validate=False)
 
 
 # ---------------------------------------------------------------------------
 # Origin-amplitude coefficients
 # ---------------------------------------------------------------------------
+
+def _origin_terms(coin: Coin, weights: np.ndarray, size: int):
+    """
+    Eigenvalues of all N^2 blocks, flattened to (4 N^2,), with the
+    projection v (v^H weights) of the initial chirality vector on each
+    paired eigenvector, (4 N^2, 4).  Every block is diagonalized once.
+    """
+    momenta = np.arange(size)
+    values, vectors = _eigensystems(coin, momenta[:, None], momenta, size)
+    terms = vectors * (vectors.conj().swapaxes(-1, -2) @ weights)[..., None, :]
+    return values.reshape(-1), terms.swapaxes(-1, -2).reshape(-1, 4)
+
+
+def _merge(clusters, terms: np.ndarray, size: int) -> list[tuple[complex, np.ndarray]]:
+    return [(value, terms[idx].sum(axis=0) / size ** 2) for value, idx in clusters]
+
 
 def origin_eigenvalue_amplitudes(
     coin: Coin, initial: InitialSpec, size: int
@@ -546,21 +528,8 @@ def origin_eigenvalue_amplitudes(
     initial chirality vector over every block containing l.  Returns the
     merged (eigenvalue, A_l) list, sorted by (re, im) of the eigenvalue.
     """
-    weights = initial.weights
-    values = []
-    contributions = []
-    for n in range(size):
-        for m in range(size):
-            h = block_matrix(coin, n, m, size)
-            for value, q in _grouped_eigensystem(h):
-                values.append(value)
-                contributions.append(q @ (q.conj().T @ weights))
-    values = np.array(values)
-    contributions = np.array(contributions)
-    merged = []
-    for value, idx in _cluster_indices(values):
-        merged.append((value, contributions[idx].sum(axis=0) / size ** 2))
-    return merged
+    values, terms = _origin_terms(coin, initial.weights, size)
+    return _merge(cluster_indices(values), terms, size)
 
 
 @dataclass(frozen=True)
@@ -615,32 +584,27 @@ def _is_grover(coin: Coin) -> bool:
 
 
 def _grover_classes(
-    weights: np.ndarray, size: int
+    values: np.ndarray, terms: np.ndarray, size: int
 ) -> list[ClassCoefficients]:
-    projectors: dict[tuple[int, int], list[tuple[complex, np.ndarray]]] = {}
-    for n in range(size):
-        for m in range(size):
-            h = block_matrix(grover_coin(), n, m, size)
-            projectors[(n, m)] = [
-                (value, q @ (q.conj().T @ weights))
-                for value, q in _grouped_eigensystem(h)
-            ]
+    values = values.reshape(size, size, 4)
+    terms = terms.reshape(size, size, 4, 4)
 
     def value_weight(member: tuple[int, int], value: complex) -> np.ndarray:
-        for candidate, amp in projectors[member]:
-            if abs(candidate - value) <= DEGENERACY_TOL:
-                return amp
-        raise SpectralError(
-            f"block {member} lacks expected eigenvalue {value:.6f}"
-        )
+        match = np.abs(values[member] - value) <= DEGENERACY_TOL
+        if not match.any():
+            raise SpectralError(
+                f"block {member} lacks expected eigenvalue {value:.6f}"
+            )
+        return terms[member][match].sum(axis=0)
 
     classes: list[ClassCoefficients] = []
     # (0, 0): fully degenerate block, kept as its own one-member class.
-    for value, amp in projectors[(0, 0)]:
-        multiplicity = 3 if abs(value + 1.0) < DEGENERACY_TOL else 1
-        k = 2 if multiplicity == 1 else None
+    for value, idx in cluster_indices(values[0, 0]):
+        k = 2 if len(idx) == 1 else None
         classes.append(
-            ClassCoefficients(value, amp, multiplicity, (0, 0), k, ((0, 0),))
+            ClassCoefficients(
+                value, terms[0, 0][idx].sum(axis=0), len(idx), (0, 0), k, ((0, 0),)
+            )
         )
     half = (size - 1) // 2
     representatives = [(n, 0) for n in range(1, half + 1)]
@@ -679,7 +643,9 @@ def origin_coefficients(
     reproduce the known closed-form values.
     """
     weights = initial.weights
-    merged = origin_eigenvalue_amplitudes(coin, initial, size)
+    values, terms = _origin_terms(coin, weights, size)
+    clusters = cluster_indices(values)
+    merged = _merge(clusters, terms, size)
     scale = float(size ** 2)
     c_plus = np.zeros(4, dtype=np.complex128)
     c_minus = np.zeros(4, dtype=np.complex128)
@@ -689,27 +655,11 @@ def origin_coefficients(
         elif abs(value + 1.0) <= DEGENERACY_TOL:
             c_minus = amp * scale
     if _is_grover(coin):
-        classes = _grover_classes(weights, size)
+        classes = _grover_classes(values, terms, size)
     else:
-        values = np.concatenate(
-            [
-                build_block(coin, n, m, size).eigenvalues
-                for n in range(size)
-                for m in range(size)
-            ]
-        )
-        multiplicities = {
-            value: len(idx) for value, idx in _cluster_indices(values)
-        }
-
-        def multiplicity_of(value: complex) -> int:
-            return min(
-                multiplicities.items(), key=lambda kv: abs(kv[0] - value)
-            )[1]
-
         classes = [
-            ClassCoefficients(value, amp * scale, multiplicity_of(value))
-            for value, amp in merged
+            ClassCoefficients(value, amp * scale, len(idx))
+            for (value, amp), (_, idx) in zip(merged, clusters)
         ]
     return OriginExpansion(
         coin_label=coin.label,

@@ -19,8 +19,10 @@ localization.  Four routes to the same quantity are provided:
 Parity-restricted averages (even or odd times only) are supported
 throughout.  In the exact route an eigenvalue pair (l, -l) interferes
 within a parity class: averaging l^t conj(l')^t over even t survives iff
-l' = +-l, so clusters are grouped into +- pairs before squaring,
-|A(l) + A(-l)|^2 on even times and |A(l) - A(-l)|^2 on odd times.
+l' = +-l.  At even times t = 2s the amplitude is a sum over mu = l^2 of
+(sum of A_l with l^2 = mu) mu^s, so the coefficients are summed over
+clusters of l^2 before squaring, giving |A(l) + A(-l)|^2; odd times do the
+same with A_l l in place of A_l, giving |A(l) - A(-l)|^2.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .coins import CHIRALITIES, Coin, chirality_index
 from .evolve import step
 from .spectral import (
-    DEGENERACY_TOL,
     SpectralDecomposition,
+    cluster_indices,
     origin_eigenvalue_amplitudes,
 )
 from .state import InitialSpec, WalkState
@@ -180,27 +181,6 @@ def _initial_label(state: WalkState) -> str:
     return "state"
 
 
-def _parity_pairs(values: np.ndarray, amps: np.ndarray, parity: str) -> np.ndarray:
-    used = np.zeros(len(values), dtype=bool)
-    sign = 1.0 if parity == "even" else -1.0
-    acc = np.zeros(amps.shape[1])
-    for i in range(len(values)):
-        if used[i]:
-            continue
-        used[i] = True
-        partner = None
-        for j in range(len(values)):
-            if not used[j] and abs(values[j] + values[i]) <= DEGENERACY_TOL:
-                partner = j
-                break
-        if partner is None:
-            acc += np.abs(amps[i]) ** 2
-        else:
-            used[partner] = True
-            acc += np.abs(amps[i] + sign * amps[partner]) ** 2
-    return acc
-
-
 def exact_time_average(
     coin: Coin,
     initial: InitialSpec,
@@ -222,10 +202,11 @@ def exact_time_average(
     merged = origin_eigenvalue_amplitudes(coin, initial, size)
     values = np.array([value for value, _ in merged])
     amps = np.array([amp for _, amp in merged])
-    if parity == "all":
-        per = (np.abs(amps) ** 2).sum(axis=0)
-    else:
-        per = _parity_pairs(values, amps, parity)
+    if parity != "all":
+        if parity == "odd":
+            amps = amps * values[:, None]
+        amps = np.array([amps[idx].sum(axis=0) for _, idx in cluster_indices(values ** 2)])
+    per = (np.abs(amps) ** 2).sum(axis=0)
     return _report("exact", parity, coin.label, initial.describe(), size, per)
 
 
@@ -399,6 +380,10 @@ def integral_constants() -> IntegralConstants:
     ConsistencyError
         If quadrature disagrees with a closed form by more than 1e-6.
     """
+    # imported here: scipy dominates the import time of the package and only
+    # this cross-check needs it
+    from scipy import integrate
+
     i1 = 0.25 - 1.0 / math.pi
     i2 = 0.25 - 0.5 / math.pi
     eps = 1e-12

@@ -10,18 +10,34 @@ from qwalk2d import (
     a1_eigenvalues,
     a2_coin,
     build_block,
+    custom_coin,
     degeneracy_class,
     evolve,
     evolve_spectral,
+    exact_time_average,
     grover_coin,
     grover_eigenvalues,
     grover_eigenvectors,
     origin_coefficients,
+    origin_eigenvalue_amplitudes,
     origin_superposition,
     pure_state,
     symmetric_family,
 )
-from qwalk2d.spectral import block_matrix, momentum_phases
+from qwalk2d.spectral import (
+    DEGENERACY_TOL,
+    SpectralError,
+    block_matrix,
+    cluster_indices,
+    momentum_phases,
+)
+
+
+def haar_coin(seed: int = 11):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    return custom_coin(q * np.exp(-1j * np.angle(np.diag(r)))[None, :], label="haar")
 
 
 def multiset_gap(a, b):
@@ -251,13 +267,6 @@ def test_spectrum_json_sorted_by_multiplicity(tmp_path):
     assert mults[0] == 27 and mults[1] == 25
 
 
-def test_thread_override_matches_serial(monkeypatch):
-    serial = SpectralDecomposition.build(grover_coin(), 5)
-    monkeypatch.setenv("QWALK2D_THREADS", "4")
-    threaded = SpectralDecomposition.build(grover_coin(), 5)
-    assert serial.to_payload() == threaded.to_payload()
-
-
 def test_evolve_spectral_t0_reproduces_initial():
     spec = InitialSpec(0.5, 0.5j, -0.5, 0.5j)
     state = origin_superposition(5, spec)
@@ -416,3 +425,129 @@ def test_non_grover_expansion_unlabeled_clusters():
     expansion = origin_coefficients(a1_coin(), InitialSpec.pure("R"), 5)
     assert all(cls.representative is None for cls in expansion.classes)
     assert sum(c.multiplicity for c in expansion.classes) == 4 * 25
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue clustering and diagonalization work
+# ---------------------------------------------------------------------------
+
+def test_cluster_grover_census_across_branch_cut():
+    # the -1 cluster straddles the +-pi cut of the angle sort
+    values = SpectralDecomposition.build(grover_coin(), 41).values.ravel()
+    clusters = cluster_indices(values)
+    assert len(clusters) == 462
+    by_value = {complex(round(v.real, 6), round(v.imag, 6)): len(idx) for v, idx in clusters}
+    assert by_value[complex(-1, 0)] == 1683
+    assert by_value[complex(1, 0)] == 1681
+
+
+def test_cluster_joins_values_either_side_of_branch_cut():
+    angles = np.array([np.pi - 0.3 * DEGENERACY_TOL, 1.0, -np.pi + 0.3 * DEGENERACY_TOL])
+    clusters = cluster_indices(np.exp(1j * angles))
+    assert [idx.tolist() for _, idx in clusters] == [[0, 2], [1]]
+
+
+def test_cluster_chains_close_neighbours():
+    values = np.exp(1j * (1.0 + 0.6 * DEGENERACY_TOL * np.arange(3)))
+    clusters = cluster_indices(values)
+    assert len(clusters) == 1
+    assert clusters[0][1].tolist() == [0, 1, 2]
+
+
+def test_cluster_splits_separated_values():
+    values = np.exp(1j * (1.0 + 2.0 * DEGENERACY_TOL * np.arange(2)))
+    assert len(cluster_indices(values)) == 2
+
+
+def test_cluster_matches_pairwise_transitive_closure():
+    # reference: connected components of the graph |v_i - v_j| <= tol
+    rng = np.random.default_rng(5)
+    centres = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, 12)])
+    angles = np.concatenate(
+        [centres + rng.uniform(-1.5, 1.5, size=centres.size) * DEGENERACY_TOL for _ in range(4)]
+        + [np.pi + 0.7 * DEGENERACY_TOL * np.arange(-3, 4)]  # a chain across the cut
+    )
+    values = np.exp(1j * angles)
+    label = list(range(values.size))
+    for i in range(values.size):
+        for j in range(values.size):
+            if abs(values[i] - values[j]) <= DEGENERACY_TOL and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if x == old else x for x in label]
+    expected = sorted(
+        sorted(i for i in range(values.size) if label[i] == root) for root in set(label)
+    )
+    assert sorted(idx.tolist() for _, idx in cluster_indices(values)) == expected
+
+
+@pytest.fixture
+def linalg_counts(monkeypatch):
+    counts = {"eig": 0, "solve": 0}
+    eig, solve = np.linalg.eig, np.linalg.solve
+
+    def counting_eig(a):
+        counts["eig"] += int(np.prod(np.shape(a)[:-2]))
+        return eig(a)
+
+    def counting_solve(a, b):
+        counts["solve"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "perturb,message",
+    [
+        (lambda values, vectors: (values + 1e-6, vectors), "eigenpair residual"),
+        (lambda values, vectors: (values, vectors * (1 + 1e-6)), "unitarity"),
+    ],
+    ids=["residual", "unitarity"],
+)
+def test_kernel_checks_raise_spectral_error(monkeypatch, perturb, message):
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: perturb(*eig(a)))
+    with pytest.raises(SpectralError, match=rf"{message} .* in block \(\d+, \d+\)"):
+        SpectralDecomposition.build(a2_coin(), 5)
+
+
+@pytest.mark.parametrize("coin", [grover_coin(), a1_coin()], ids=["grover", "a1"])
+def test_origin_coefficients_diagonalize_each_block_once(coin, linalg_counts):
+    origin_coefficients(coin, InitialSpec.pure("R"), 9)
+    assert linalg_counts["eig"] == 81
+
+
+def test_evolve_spectral_haar_coin_without_solve(linalg_counts):
+    coin = haar_coin()
+    initial = pure_state(9, "R")
+    spectral = evolve_spectral(initial, coin, 20)
+    assert linalg_counts["solve"] == 0
+    assert np.abs(spectral.amplitudes - evolve(initial, coin, 20).amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize("parity,sign", [("even", 1.0), ("odd", -1.0)])
+@pytest.mark.parametrize(
+    "coin", [haar_coin(), a1_coin(), grover_coin()], ids=["haar", "a1", "grover"]
+)
+def test_parity_average_matches_pairwise_pairing(coin, parity, sign):
+    # brute force: pair each eigenvalue l with a -l partner, |A(l) +- A(-l)|^2;
+    # the Haar spectrum has no such pairs, a1 and grover have many
+    spec = InitialSpec(0.5, 0.5j, -0.5, 0.5)
+    merged = origin_eigenvalue_amplitudes(coin, spec, 9)
+    used = [False] * len(merged)
+    expected = np.zeros(4)
+    for i, (value, amp) in enumerate(merged):
+        if used[i]:
+            continue
+        used[i] = True
+        total = amp
+        for j, (other, partner) in enumerate(merged):
+            if not used[j] and abs(other + value) <= DEGENERACY_TOL:
+                used[j] = True
+                total = amp + sign * partner
+                break
+        expected += np.abs(total) ** 2
+    report = exact_time_average(coin, spec, 9, parity=parity)
+    assert np.abs(np.array(report.per_chirality) - expected).max() < 1e-12

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qwalk2d
 from qwalk2d import (
     ConsistencyError,
     InitialSpec,
@@ -333,3 +338,13 @@ def test_report_total_is_chirality_sum():
 
 def test_consistency_error_is_exported():
     assert issubclass(ConsistencyError, RuntimeError)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is needed only by the quadrature cross-check in integral_constants
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qwalk2d.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, qwalk2d; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert result.stdout.strip() == "False"
