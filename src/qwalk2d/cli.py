@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pathlib
 import re
 import sys
 
@@ -226,19 +225,10 @@ def _cmd_timeavg(args) -> int:
         value = ta.grover_closed_form(args.n, args.parity)
         print(f"{value:.12g}")
         if args.out:
-            payload = {
-                "method": "closed-form",
-                "parity": args.parity,
-                "coin": "grover",
-                "N": args.n,
-                "initial": "R",
-                "per_chirality": {"R": value},
-                "total": None,
-                "samples": None,
-            }
-            pathlib.Path(args.out).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            report = ta.TimeAverageReport(
+                "closed-form", args.parity, "grover", "R", args.n, (value,), None
             )
+            ta.write_report_json(report, args.out)
         return 0
     else:
         coin = parse_coin(args.coin)

@@ -91,7 +91,7 @@ def block_matrix(coin: Coin, n, m, size: int) -> np.ndarray:
     return momentum_phases(n, m, size)[..., :, None] * coin.entries
 
 
-def cluster_indices(values: np.ndarray):
+def cluster_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Group unimodular values equal within DEGENERACY_TOL.
 
@@ -100,21 +100,30 @@ def cluster_indices(values: np.ndarray):
     The runs at the two ends of the sort are joined when they meet across
     the branch cut at -1, where the diffusion coin's largest cluster sits.
 
-    Returns a list of (mean value, ascending index array), sorted by
-    (re, im) of the mean.
+    Returns the cluster means, sorted by (re, im), and one label per value:
+    the members of cluster k are the values with label k.
     """
     values = np.asarray(values)
     order = np.argsort(np.angle(values), kind="stable")
     ordered = values[order]
-    runs = np.split(order, np.flatnonzero(np.abs(np.diff(ordered)) > DEGENERACY_TOL) + 1)
-    if len(runs) > 1 and abs(ordered[-1] - ordered[0]) <= DEGENERACY_TOL:
-        runs[0] = np.concatenate([runs.pop(), runs[0]])
-    clusters = []
-    for idx in runs:
-        idx = np.sort(idx)
-        clusters.append((complex(values[idx].mean()), idx))
-    clusters.sort(key=lambda item: (item[0].real, item[0].imag))
-    return clusters
+    runs = np.concatenate([[0], np.cumsum(np.abs(np.diff(ordered)) > DEGENERACY_TOL)])
+    if runs[-1] > 0 and abs(ordered[-1] - ordered[0]) <= DEGENERACY_TOL:
+        runs[runs == runs[-1]] = 0
+    labels = np.empty_like(runs)
+    labels[order] = runs
+    means = sum_by_label(labels, values) / np.bincount(labels)
+    rank = np.lexsort((means.imag, means.real))
+    relabel = np.empty_like(rank)
+    relabel[rank] = np.arange(rank.size)
+    return means[rank], relabel[labels]
+
+
+def sum_by_label(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum the rows sharing each label: entry k is the sum of rows[labels == k]."""
+    rows = np.asarray(rows)
+    sums = np.zeros((labels.max() + 1,) + rows.shape[1:], dtype=rows.dtype)
+    np.add.at(sums, labels, rows)
+    return sums
 
 
 def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,10 +152,11 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
         raise SpectralError(f"eigendecomposition failed for {where}: {exc}")
     close = np.abs(values[..., :, None] - values[..., None, :]) <= DEGENERACY_TOL
     for b in map(tuple, np.argwhere(close.sum(axis=(-2, -1)) > 4)):
-        for value, idx in cluster_indices(values[b]):
-            if len(idx) > 1:
-                values[b][idx] = value
-                vectors[b][:, idx] = np.linalg.qr(vectors[b][:, idx])[0]
+        centres, labels = cluster_labels(values[b])
+        values[b] = centres[labels]
+        for label in np.flatnonzero(np.bincount(labels) > 1):
+            group = labels == label
+            vectors[b][:, group] = np.linalg.qr(vectors[b][:, group])[0]
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
@@ -180,11 +190,6 @@ class MomentumBlock:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def eigen_groups(self):
-        """Yield (eigenvalue, column matrix) per distinct eigenvalue."""
-        for value, idx in cluster_indices(self.eigenvalues):
-            yield value, self.eigenvectors[:, idx]
 
 
 def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
@@ -403,24 +408,26 @@ class SpectralDecomposition:
 
     The block eigensystems are held as arrays: `values` (N, N, 4) and
     `vectors` (N, N, 4, 4), each block ordered as `build_block` orders it;
-    `block(n, m)` wraps one of them as a MomentumBlock.
+    `block(n, m)` wraps one of them as a MomentumBlock.  `labels` (N, N, 4)
+    gives the index in `clusters` of each entry of `values`.
     """
 
     coin: Coin
     size: int
     values: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
     clusters: tuple[EigenvalueCluster, ...] = field(repr=False)
 
     @classmethod
     def build(cls, coin: Coin, size: int) -> "SpectralDecomposition":
         momenta = np.arange(size)
         values, vectors = _eigensystems(coin, momenta[:, None], momenta, size)
+        centres, labels = cluster_labels(values.ravel())
         clusters = tuple(
-            EigenvalueCluster(value, len(idx))
-            for value, idx in cluster_indices(values.ravel())
+            map(EigenvalueCluster, centres.tolist(), np.bincount(labels).tolist())
         )
-        return cls(coin, size, values, vectors, clusters)
+        return cls(coin, size, values, vectors, labels.reshape(values.shape), clusters)
 
     def block(self, n: int, m: int) -> MomentumBlock:
         return MomentumBlock(
@@ -431,10 +438,14 @@ class SpectralDecomposition:
     def common_eigenvalues(self) -> tuple[complex, ...]:
         """Eigenvalues present in every momentum block."""
         blocks = self.size ** 2
+        labels = self.labels.ravel()
+        # one entry per distinct (cluster, block) pair
+        pairs = np.unique(labels * blocks + np.arange(labels.size) // 4)
+        present = np.bincount(pairs // blocks, minlength=len(self.clusters))
         return tuple(
-            value
-            for value, idx in cluster_indices(self.values.ravel())
-            if len(idx) >= blocks and len(np.unique(idx // 4)) == blocks
+            cluster.value
+            for cluster, count in zip(self.clusters, present)
+            if count == blocks
         )
 
     def max_multiplicity(self) -> int:
@@ -509,10 +520,6 @@ def _origin_terms(coin: Coin, weights: np.ndarray, size: int):
     return values.reshape(-1), terms.swapaxes(-1, -2).reshape(-1, 4)
 
 
-def _merge(clusters, terms: np.ndarray, size: int) -> list[tuple[complex, np.ndarray]]:
-    return [(value, terms[idx].sum(axis=0) / size ** 2) for value, idx in clusters]
-
-
 def origin_eigenvalue_amplitudes(
     coin: Coin, initial: InitialSpec, size: int
 ) -> list[tuple[complex, np.ndarray]]:
@@ -529,7 +536,8 @@ def origin_eigenvalue_amplitudes(
     merged (eigenvalue, A_l) list, sorted by (re, im) of the eigenvalue.
     """
     values, terms = _origin_terms(coin, initial.weights, size)
-    return _merge(cluster_indices(values), terms, size)
+    centres, labels = cluster_labels(values)
+    return list(zip(centres.tolist(), sum_by_label(labels, terms) / size ** 2))
 
 
 @dataclass(frozen=True)
@@ -597,15 +605,13 @@ def _grover_classes(
             )
         return terms[member][match].sum(axis=0)
 
-    classes: list[ClassCoefficients] = []
     # (0, 0): fully degenerate block, kept as its own one-member class.
-    for value, idx in cluster_indices(values[0, 0]):
-        k = 2 if len(idx) == 1 else None
-        classes.append(
-            ClassCoefficients(
-                value, terms[0, 0][idx].sum(axis=0), len(idx), (0, 0), k, ((0, 0),)
-            )
-        )
+    centres, labels = cluster_labels(values[0, 0])
+    totals = sum_by_label(labels, terms[0, 0])
+    classes = [
+        ClassCoefficients(value, total, count, (0, 0), 2 if count == 1 else None, ((0, 0),))
+        for value, total, count in zip(centres.tolist(), totals, np.bincount(labels).tolist())
+    ]
     half = (size - 1) // 2
     representatives = [(n, 0) for n in range(1, half + 1)]
     representatives += [(n, n) for n in range(1, size)]
@@ -644,22 +650,19 @@ def origin_coefficients(
     """
     weights = initial.weights
     values, terms = _origin_terms(coin, weights, size)
-    clusters = cluster_indices(values)
-    merged = _merge(clusters, terms, size)
-    scale = float(size ** 2)
-    c_plus = np.zeros(4, dtype=np.complex128)
-    c_minus = np.zeros(4, dtype=np.complex128)
-    for value, amp in merged:
-        if abs(value - 1.0) <= DEGENERACY_TOL:
-            c_plus = amp * scale
-        elif abs(value + 1.0) <= DEGENERACY_TOL:
-            c_minus = amp * scale
+    centres, labels = cluster_labels(values)
+    sums = sum_by_label(labels, terms)
+    c_plus, c_minus = (
+        sums[np.abs(centres - target) <= DEGENERACY_TOL].sum(axis=0)
+        for target in (1.0, -1.0)
+    )
     if _is_grover(coin):
         classes = _grover_classes(values, terms, size)
     else:
+        counts = np.bincount(labels).tolist()
         classes = [
-            ClassCoefficients(value, amp * scale, len(idx))
-            for (value, amp), (_, idx) in zip(merged, clusters)
+            ClassCoefficients(value, total, count)
+            for value, total, count in zip(centres.tolist(), sums, counts)
         ]
     return OriginExpansion(
         coin_label=coin.label,
@@ -668,5 +671,5 @@ def origin_coefficients(
         c_plus=c_plus,
         c_minus=c_minus,
         classes=tuple(classes),
-        merged=tuple(merged),
+        merged=tuple(zip(centres.tolist(), sums / size ** 2)),
     )

@@ -39,8 +39,9 @@ from .coins import CHIRALITIES, Coin, chirality_index
 from .evolve import step
 from .spectral import (
     SpectralDecomposition,
-    cluster_indices,
+    cluster_labels,
     origin_eigenvalue_amplitudes,
+    sum_by_label,
 )
 from .state import InitialSpec, WalkState
 
@@ -76,7 +77,8 @@ class TimeAverageReport:
     Per-chirality time-averaged probabilities at one site.
 
     `size` is None for infinite-lattice limits; `samples` is the horizon
-    T of an empirical average and None otherwise.
+    T of an empirical average and None otherwise.  A closed-form report
+    covers chirality R alone, with `total` None.
     """
 
     method: str
@@ -84,8 +86,8 @@ class TimeAverageReport:
     coin: str
     initial: str
     size: int | None
-    per_chirality: tuple[float, float, float, float]
-    total: float
+    per_chirality: tuple[float, ...]
+    total: float | None
     samples: int | None = None
     site: tuple[int, int] = (0, 0)
 
@@ -205,7 +207,7 @@ def exact_time_average(
     if parity != "all":
         if parity == "odd":
             amps = amps * values[:, None]
-        amps = np.array([amps[idx].sum(axis=0) for _, idx in cluster_indices(values ** 2)])
+        amps = sum_by_label(cluster_labels(values ** 2)[1], amps)
     per = (np.abs(amps) ** 2).sum(axis=0)
     return _report("exact", parity, coin.label, initial.describe(), size, per)
 

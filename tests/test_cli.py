@@ -145,6 +145,23 @@ def test_timeavg_closed_form_prints_value(capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(0.161, abs=1e-12)
 
 
+def test_timeavg_closed_form_report_schema(tmp_path, capsys):
+    files = {}
+    for method in ("closed-form", "exact"):
+        files[method] = tmp_path / f"{method}.json"
+        code = cli.main(
+            ["timeavg", "--coin", "grover", "--n", "5", "--initial", "R",
+             "--method", method, "--out", str(files[method])]
+        )
+        assert code == 0
+    closed, exact = (json.loads(path.read_text()) for path in files.values())
+    assert closed.keys() == exact.keys()
+    assert closed["per_chirality"] == {"R": pytest.approx(0.161, abs=1e-12)}
+    assert closed["total"] is None
+    assert closed["site"] == [0, 0]
+    assert capsys.readouterr().out.startswith("0.161\n")
+
+
 def test_timeavg_closed_form_guard():
     assert cli.main(
         ["timeavg", "--coin", "a1", "--n", "5", "--initial", "R",

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qwalk2d import spectral
 from qwalk2d import (
     InitialSpec,
     SpectralDecomposition,
@@ -18,6 +20,7 @@ from qwalk2d import (
     grover_coin,
     grover_eigenvalues,
     grover_eigenvectors,
+    localization_predictor,
     origin_coefficients,
     origin_eigenvalue_amplitudes,
     origin_superposition,
@@ -28,8 +31,9 @@ from qwalk2d.spectral import (
     DEGENERACY_TOL,
     SpectralError,
     block_matrix,
-    cluster_indices,
+    cluster_labels,
     momentum_phases,
+    sum_by_label,
 )
 
 
@@ -431,36 +435,53 @@ def test_non_grover_expansion_unlabeled_clusters():
 # Eigenvalue clustering and diagonalization work
 # ---------------------------------------------------------------------------
 
+def pairwise_components(values):
+    """Reference partition: connected components of the graph |v_i - v_j| <= tol."""
+    label = list(range(len(values)))
+    for i in range(len(values)):
+        for j in range(len(values)):
+            if abs(values[i] - values[j]) <= DEGENERACY_TOL and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if x == old else x for x in label]
+    return sorted(
+        sorted(i for i in range(len(values)) if label[i] == root) for root in set(label)
+    )
+
+
+def label_partition(labels):
+    return sorted(np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1))
+
+
 def test_cluster_grover_census_across_branch_cut():
     # the -1 cluster straddles the +-pi cut of the angle sort
     values = SpectralDecomposition.build(grover_coin(), 41).values.ravel()
-    clusters = cluster_indices(values)
-    assert len(clusters) == 462
-    by_value = {complex(round(v.real, 6), round(v.imag, 6)): len(idx) for v, idx in clusters}
+    centres, labels = cluster_labels(values)
+    assert len(centres) == 462
+    counts = np.bincount(labels)
+    by_value = {complex(round(v.real, 6), round(v.imag, 6)): n for v, n in zip(centres, counts)}
     assert by_value[complex(-1, 0)] == 1683
     assert by_value[complex(1, 0)] == 1681
 
 
 def test_cluster_joins_values_either_side_of_branch_cut():
     angles = np.array([np.pi - 0.3 * DEGENERACY_TOL, 1.0, -np.pi + 0.3 * DEGENERACY_TOL])
-    clusters = cluster_indices(np.exp(1j * angles))
-    assert [idx.tolist() for _, idx in clusters] == [[0, 2], [1]]
+    _, labels = cluster_labels(np.exp(1j * angles))
+    assert labels.tolist() == [0, 1, 0]
 
 
 def test_cluster_chains_close_neighbours():
     values = np.exp(1j * (1.0 + 0.6 * DEGENERACY_TOL * np.arange(3)))
-    clusters = cluster_indices(values)
-    assert len(clusters) == 1
-    assert clusters[0][1].tolist() == [0, 1, 2]
+    centres, labels = cluster_labels(values)
+    assert len(centres) == 1
+    assert labels.tolist() == [0, 0, 0]
 
 
 def test_cluster_splits_separated_values():
     values = np.exp(1j * (1.0 + 2.0 * DEGENERACY_TOL * np.arange(2)))
-    assert len(cluster_indices(values)) == 2
+    assert len(cluster_labels(values)[0]) == 2
 
 
 def test_cluster_matches_pairwise_transitive_closure():
-    # reference: connected components of the graph |v_i - v_j| <= tol
     rng = np.random.default_rng(5)
     centres = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, 12)])
     angles = np.concatenate(
@@ -468,16 +489,69 @@ def test_cluster_matches_pairwise_transitive_closure():
         + [np.pi + 0.7 * DEGENERACY_TOL * np.arange(-3, 4)]  # a chain across the cut
     )
     values = np.exp(1j * angles)
-    label = list(range(values.size))
-    for i in range(values.size):
-        for j in range(values.size):
-            if abs(values[i] - values[j]) <= DEGENERACY_TOL and label[i] != label[j]:
-                old, new = label[j], label[i]
-                label = [new if x == old else x for x in label]
-    expected = sorted(
-        sorted(i for i in range(values.size) if label[i] == root) for root in set(label)
+    assert label_partition(cluster_labels(values)[1]) == pairwise_components(values)
+
+
+# Angles on a grid: cluster seats 1e-3 apart, members 0.3 tol apart, so every
+# pairwise distance is at least 10% of the tolerance away from it.
+planted_angles = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-3141, 3141).map(lambda j: j * 1e-3), st.just(np.pi)),
+        st.lists(st.integers(-8, 8), min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=6,
+).map(
+    lambda seats: np.array(
+        [seat + 0.3 * DEGENERACY_TOL * k for seat, steps in seats for k in steps]
     )
-    assert sorted(idx.tolist() for _, idx in cluster_indices(values)) == expected
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_angles)
+def test_cluster_labels_properties(angles):
+    values = np.exp(1j * angles)
+    centres, labels = cluster_labels(values)
+    assert label_partition(labels) == pairwise_components(values)
+    assert all(
+        (a.real, a.imag) < (b.real, b.imag) for a, b in zip(centres[:-1], centres[1:])
+    )
+    for k, centre in enumerate(centres):
+        assert abs(centre - values[labels == k].mean()) <= 1e-15
+
+
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=30).flatmap(
+        lambda labels: st.tuples(
+            st.just(np.array(labels)),
+            st.lists(
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False),
+                min_size=2 * len(labels),
+                max_size=2 * len(labels),
+            ).map(lambda rows: np.array(rows).reshape(-1, 2)),
+        )
+    )
+)
+def test_sum_by_label_matches_loop(case):
+    labels, rows = case
+    expected = np.zeros((labels.max() + 1, 2), dtype=complex)
+    for label, row in zip(labels, rows):
+        expected[label] += row
+    assert np.array_equal(sum_by_label(labels, rows), expected)
+
+
+def test_predictor_clusters_the_spectrum_once(monkeypatch):
+    sizes = []
+
+    def counting(values):
+        sizes.append(np.size(values))
+        return cluster_labels(values)
+
+    monkeypatch.setattr(spectral, "cluster_labels", counting)
+    assert localization_predictor(grover_coin(), 9).localizing
+    assert sizes.count(4 * 81) == 1
+    assert max(sizes) == 4 * 81
 
 
 @pytest.fixture
