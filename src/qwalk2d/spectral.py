@@ -100,8 +100,11 @@ def cluster_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The runs at the two ends of the sort are joined when they meet across
     the branch cut at -1, where the diffusion coin's largest cluster sits.
 
-    Returns the cluster means, sorted by (re, im), and one label per value:
-    the members of cluster k are the values with label k.
+    Returns the cluster means and one label per value: the members of
+    cluster k are the values with label k.  The means are sorted by real
+    part rounded to whole multiples of the tolerance, then by imaginary
+    part, so values whose real parts agree in theory (conjugate pairs) keep
+    their order whatever their last bits.
     """
     values = np.asarray(values)
     order = np.argsort(np.angle(values), kind="stable")
@@ -112,7 +115,7 @@ def cluster_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.empty_like(runs)
     labels[order] = runs
     means = sum_by_label(labels, values) / np.bincount(labels)
-    rank = np.lexsort((means.imag, means.real))
+    rank = np.lexsort((means.imag, np.round(means.real / DEGENERACY_TOL)))
     relabel = np.empty_like(rank)
     relabel[rank] = np.arange(rank.size)
     return means[rank], relabel[labels]
@@ -404,36 +407,29 @@ class EigenvalueCluster:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """
-    All N^2 momentum blocks of a coin plus the clustered global spectrum.
+    The eigenvalues of all N^2 momentum blocks of a coin plus the clustered
+    global spectrum.
 
-    The block eigensystems are held as arrays: `values` (N, N, 4) and
-    `vectors` (N, N, 4, 4), each block ordered as `build_block` orders it;
-    `block(n, m)` wraps one of them as a MomentumBlock.  `labels` (N, N, 4)
-    gives the index in `clusters` of each entry of `values`.
+    `values` (N, N, 4) holds each block's eigenvalues in the order of
+    `build_block`; `labels` (N, N, 4) gives the index in `clusters` of each
+    entry of `values`.
     """
 
     coin: Coin
     size: int
     values: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     clusters: tuple[EigenvalueCluster, ...] = field(repr=False)
 
     @classmethod
     def build(cls, coin: Coin, size: int) -> "SpectralDecomposition":
         momenta = np.arange(size)
-        values, vectors = _eigensystems(coin, momenta[:, None], momenta, size)
+        values = _eigensystems(coin, momenta[:, None], momenta, size)[0]
         centres, labels = cluster_labels(values.ravel())
         clusters = tuple(
             map(EigenvalueCluster, centres.tolist(), np.bincount(labels).tolist())
         )
-        return cls(coin, size, values, vectors, labels.reshape(values.shape), clusters)
-
-    def block(self, n: int, m: int) -> MomentumBlock:
-        return MomentumBlock(
-            n, m, self.size, block_matrix(self.coin, n, m, self.size),
-            self.values[n, m], self.vectors[n, m],
-        )
+        return cls(coin, size, values, labels.reshape(values.shape), clusters)
 
     def common_eigenvalues(self) -> tuple[complex, ...]:
         """Eigenvalues present in every momentum block."""
@@ -452,10 +448,7 @@ class SpectralDecomposition:
         return max(cluster.multiplicity for cluster in self.clusters)
 
     def to_payload(self) -> dict:
-        ordered = sorted(
-            self.clusters,
-            key=lambda c: (-c.multiplicity, c.value.real, c.value.imag),
-        )
+        ordered = sorted(self.clusters, key=lambda c: -c.multiplicity)
         return {
             "coin": self.coin.label,
             "N": self.size,
@@ -481,14 +474,14 @@ class SpectralDecomposition:
 
 def evolve_spectral(initial: WalkState, coin: Coin, t: int) -> WalkState:
     """
-    State after t steps, reconstructed from the momentum-space
-    eigendecomposition instead of step-by-step evolution.
+    State after t steps, propagated in momentum space instead of
+    step-by-step evolution.
 
     The amplitudes are Fourier transformed, each momentum component is
-    propagated as V diag(l^t) V^H through its block's unitary
-    eigensystem, and the result is transformed back.  Blocks are
-    diagonalized one momentum row at a time, which keeps the eigensystems
-    held at once to O(N).
+    multiplied by the t-th power of its block, and the result is
+    transformed back.  The powers are taken by repeated squaring, O(log t)
+    4x4 products per block, one momentum row at a time, which keeps the
+    blocks held at once to O(N).
     """
     t = int(t)
     if t < 0:
@@ -497,9 +490,8 @@ def evolve_spectral(initial: WalkState, coin: Coin, t: int) -> WalkState:
     momenta = np.arange(size)
     transformed = np.fft.fft2(initial.amplitudes, axes=(0, 1))
     for n in range(size):
-        values, vectors = _eigensystems(coin, n, momenta, size)
-        coeff = (vectors.conj().swapaxes(-1, -2) @ transformed[n, :, :, None])[..., 0]
-        transformed[n] = (vectors @ (values ** t * coeff)[..., None])[..., 0]
+        power = np.linalg.matrix_power(block_matrix(coin, n, momenta, size), t)
+        transformed[n] = (power @ transformed[n, :, :, None])[..., 0]
     amplitudes = np.fft.ifft2(transformed, axes=(0, 1))
     return WalkState(amplitudes, initial.t + t, validate=False)
 
@@ -533,7 +525,8 @@ def origin_eigenvalue_amplitudes(
 
     where A_l collects (1/N^2) times the eigenspace projections of the
     initial chirality vector over every block containing l.  Returns the
-    merged (eigenvalue, A_l) list, sorted by (re, im) of the eigenvalue.
+    merged (eigenvalue, A_l) list in the order of `cluster_labels`: by real
+    part rounded to whole multiples of DEGENERACY_TOL, then by imaginary part.
     """
     values, terms = _origin_terms(coin, initial.weights, size)
     centres, labels = cluster_labels(values)

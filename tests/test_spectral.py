@@ -8,6 +8,7 @@ from qwalk2d import spectral
 from qwalk2d import (
     InitialSpec,
     SpectralDecomposition,
+    WalkState,
     a1_coin,
     a1_eigenvalues,
     a2_coin,
@@ -514,9 +515,8 @@ def test_cluster_labels_properties(angles):
     values = np.exp(1j * angles)
     centres, labels = cluster_labels(values)
     assert label_partition(labels) == pairwise_components(values)
-    assert all(
-        (a.real, a.imag) < (b.real, b.imag) for a, b in zip(centres[:-1], centres[1:])
-    )
+    keys = [(round(c.real / DEGENERACY_TOL), c.imag) for c in centres]
+    assert all(a < b for a, b in zip(keys[:-1], keys[1:]))
     for k, centre in enumerate(centres):
         assert abs(centre - values[labels == k].mean()) <= 1e-15
 
@@ -593,12 +593,56 @@ def test_origin_coefficients_diagonalize_each_block_once(coin, linalg_counts):
     assert linalg_counts["eig"] == 81
 
 
-def test_evolve_spectral_haar_coin_without_solve(linalg_counts):
+@pytest.mark.parametrize("t", [20, 5000])
+def test_evolve_spectral_haar_coin_without_solve(linalg_counts, t):
     coin = haar_coin()
     initial = pure_state(9, "R")
-    spectral = evolve_spectral(initial, coin, 20)
+    spectral = evolve_spectral(initial, coin, t)
+    assert linalg_counts["eig"] == 0
     assert linalg_counts["solve"] == 0
-    assert np.abs(spectral.amplitudes - evolve(initial, coin, 20).amplitudes).max() < 1e-12
+    assert np.abs(spectral.amplitudes - evolve(initial, coin, t).amplitudes).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([3, 5, 7, 9]).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 3 * n))),
+)
+def test_evolve_spectral_matches_evolve_for_random_coin_and_state(seed, case):
+    size, t = case
+    coin = haar_coin(seed)
+    rng = np.random.default_rng([seed, 1])
+    amplitudes = rng.normal(size=(size, size, 4)) + 1j * rng.normal(size=(size, size, 4))
+    initial = WalkState(amplitudes / np.linalg.norm(amplitudes))
+    spectral = evolve_spectral(initial, coin, t)
+    assert np.abs(spectral.amplitudes - evolve(initial, coin, t).amplitudes).max() < 1e-12
+
+
+def cluster_sequences(decomposition):
+    """The (value, multiplicity) sequence of `clusters` and of the JSON payload."""
+    payload = decomposition.to_payload()["clusters"]
+    return (
+        [(c.value, c.multiplicity) for c in decomposition.clusters],
+        [(complex(*c["value"]), c["multiplicity"]) for c in payload],
+    )
+
+
+@pytest.mark.parametrize("coin", [grover_coin(), a1_coin()], ids=["grover", "a1"])
+def test_cluster_order_survives_last_bit_jitter(monkeypatch, coin):
+    # conjugate pairs agree in real part; roundoff must not decide their order
+    reference = SpectralDecomposition.build(coin, 21)
+    rng = np.random.default_rng(17)
+    eigensystems = spectral._eigensystems
+
+    def jittered(*args):
+        values, vectors = eigensystems(*args)
+        return values * np.exp(1j * rng.choice([-4e-16, 4e-16], size=values.shape)), vectors
+
+    monkeypatch.setattr(spectral, "_eigensystems", jittered)
+    moved = SpectralDecomposition.build(coin, 21)
+    for before, after in zip(cluster_sequences(reference), cluster_sequences(moved)):
+        assert [m for _, m in before] == [m for _, m in after]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(before, after)) < 1e-12
 
 
 @pytest.mark.parametrize("parity,sign", [("even", 1.0), ("odd", -1.0)])
