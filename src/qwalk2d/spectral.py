@@ -134,8 +134,9 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
     Diagonalize the blocks H(n, m) over broadcast momentum arrays with one
     eig call.
 
-    Returns the eigenvalues (..., 4), lexsorted by (re, im) within each
-    block, and the paired unit eigenvector columns (..., 4, 4).  Where an
+    Returns the eigenvalues (..., 4), sorted within each block like the
+    centres of `cluster_labels`, and the paired unit eigenvector columns
+    (..., 4, 4).  Where an
     eigenvalue repeats within a block, its copies are replaced by their mean
     and its columns are QR-orthonormalized, so every eigenvector matrix is
     unitary.
@@ -160,7 +161,7 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
         for label in np.flatnonzero(np.bincount(labels) > 1):
             group = labels == label
             vectors[b][:, group] = np.linalg.qr(vectors[b][:, group])[0]
-    order = np.lexsort((values.imag, values.real), axis=-1)
+    order = np.lexsort((values.imag, np.round(values.real / DEGENERACY_TOL)), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
     checks = (
@@ -216,21 +217,23 @@ def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
 # Closed forms for the diffusion coin
 # ---------------------------------------------------------------------------
 
-def grover_eigenvalues(n: int, m: int, size: int) -> np.ndarray:
+def grover_eigenvalues(n, m, size: int) -> np.ndarray:
     """
     Closed-form eigenvalues of the grover block (n, m), ordered
-    [-1, +1, l3, l4] with Im(l3) <= 0 <= Im(l4).
+    [-1, +1, l3, l4] with Im(l3) <= 0 <= Im(l4).  Momentum arrays
+    broadcast, giving shape (..., 4); scalar momenta give shape (4,).
 
     For n == m the last two are -w^n and -w^-n; otherwise
     l3/l4 = (-c -+ i sqrt(4 - c^2))/2 with
     c = cos(2 pi n / N) + cos(2 pi m / N).
     """
-    if n == m:
-        w = np.exp(2j * np.pi / size)
-        return np.array([-1.0, 1.0, -(w ** n), -(w ** -n)])
+    n, m = np.broadcast_arrays(n, m)
+    w = np.exp(2j * np.pi / size)
     c = np.cos(2 * np.pi * n / size) + np.cos(2 * np.pi * m / size)
     root = np.sqrt(4.0 - c * c)
-    return np.array([-1.0, 1.0, (-c - 1j * root) / 2.0, (-c + 1j * root) / 2.0])
+    l3 = np.where(n == m, -(w ** n), (-c - 1j * root) / 2.0)
+    l4 = np.where(n == m, -(w ** -n), (-c + 1j * root) / 2.0)
+    return np.stack(np.broadcast_arrays(-1.0, 1.0, l3, l4), axis=-1)
 
 
 def _axis_vectors(lams: np.ndarray, beta: complex, mirrored: bool) -> list[np.ndarray]:
@@ -340,33 +343,35 @@ class DegeneracyClass:
     eigenvalue: complex
 
 
-def _orbit(n: int, m: int, size: int) -> tuple[tuple[int, int], ...]:
-    if m == 0:
-        members = {(n, 0), (0, n), (size - n, 0), (0, size - n)}
-    elif n == m:
-        members = {(n, n), (n, size - n)}
-    else:
-        members = {
-            (n, m),
-            (n, size - m),
-            (size - n, m),
-            (size - n, size - m),
-            (m, n),
-            (m, size - n),
-            (size - m, n),
-            (size - m, size - n),
-        }
-    return tuple(sorted(members))
+def _orbit_labels(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The grover degeneracy orbits: their representatives (orbits, 2) and the
+    orbit label of every block (N, N), numbering the orbits origin (label
+    0), axis, diagonal, generic, each group by representative.  With
+    a = min(n, N - n), b = min(m, N - m) the representative of (n, m) is
+    (max(a, b), 0) on the axes, (n, n) where a == b > 0 (so (n, N - n)
+    joins (n, n)) and (min(a, b), max(a, b)) elsewhere.
+    """
+    n, m = np.indices((size, size))
+    a, b = np.minimum(n, size - n), np.minimum(m, size - m)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    diagonal = (a == b) & (a > 0)
+    group = np.select([high == 0, low == 0, diagonal], [0, 1, 2], 3)
+    rep_n = np.where(diagonal, n, np.where(low == 0, high, low))
+    rep_m = np.where(diagonal, n, np.where(low == 0, 0, high))
+    keys, labels = np.unique((group * size + rep_n) * size + rep_m, return_inverse=True)
+    return np.stack([keys // size % size, keys % size], axis=-1), labels.reshape(size, size)
 
 
 def degeneracy_class(n: int, m: int, size: int, k: int = 3) -> DegeneracyClass:
     """
-    The deduplicated orbit of momentum pairs sharing eigenvalue k of
-    block (n, m), for the diffusion coin.
+    The orbit of momentum pairs sharing eigenvalue k of block (n, m), for
+    the diffusion coin: the class that `origin_coefficients` tabulates.
 
     The orbit is determined by equality of cos(xi_n) + cos(xi_m): size 4
-    for axis blocks (m == 0), 2 for diagonal blocks (n == m), 8 for a
-    generic representative.
+    for axis blocks (n == 0 or m == 0), 8 for a generic block, and 2 for a
+    diagonal block (n, n) together with its antidiagonal partner (n, N - n),
+    so degeneracy_class(n, N - n) is the two-member class of (n, n).
 
     Raises
     ------
@@ -380,13 +385,10 @@ def degeneracy_class(n: int, m: int, size: int, k: int = 3) -> DegeneracyClass:
         raise ValueError("block (0, 0) forms its own class and has no orbit")
     if k not in (1, 2, 3, 4):
         raise ValueError(f"eigenvalue index k must be 1..4, got {k}")
-    if n == 0:
-        members = _orbit(m, 0, size)
-    else:
-        members = _orbit(n, m, size)
+    labels = _orbit_labels(size)[1]
     return DegeneracyClass(
         representative=(n, m),
-        members=members,
+        members=tuple(map(tuple, np.argwhere(labels == labels[n, m]).tolist())),
         k=k,
         eigenvalue=complex(grover_eigenvalues(n, m, size)[k - 1]),
     )
@@ -560,8 +562,11 @@ class OriginExpansion:
     `c_plus` and `c_minus` aggregate the +1 and -1 contributions per
     chirality; `classes` itemizes every class including those aggregated
     into `c_plus`/`c_minus`.  For the diffusion coin the classes follow
-    the momentum orbits (labeled by representative and k); for other
-    coins they are numeric eigenvalue clusters.
+    the momentum orbits (labeled by representative and k): first the
+    clusters of block (0, 0), then the axis, diagonal and generic orbits,
+    each group by representative and each orbit by k = 1..4.  For other
+    coins they are numeric eigenvalue clusters in the order of
+    `cluster_labels`.
     """
 
     coin_label: str
@@ -589,15 +594,6 @@ def _grover_classes(
 ) -> list[ClassCoefficients]:
     values = values.reshape(size, size, 4)
     terms = terms.reshape(size, size, 4, 4)
-
-    def value_weight(member: tuple[int, int], value: complex) -> np.ndarray:
-        match = np.abs(values[member] - value) <= DEGENERACY_TOL
-        if not match.any():
-            raise SpectralError(
-                f"block {member} lacks expected eigenvalue {value:.6f}"
-            )
-        return terms[member][match].sum(axis=0)
-
     # (0, 0): fully degenerate block, kept as its own one-member class.
     centres, labels = cluster_labels(values[0, 0])
     totals = sum_by_label(labels, terms[0, 0])
@@ -605,24 +601,24 @@ def _grover_classes(
         ClassCoefficients(value, total, count, (0, 0), 2 if count == 1 else None, ((0, 0),))
         for value, total, count in zip(centres.tolist(), totals, np.bincount(labels).tolist())
     ]
-    half = (size - 1) // 2
-    representatives = [(n, 0) for n in range(1, half + 1)]
-    representatives += [(n, n) for n in range(1, size)]
-    representatives += [
-        (n, m) for n in range(1, half) for m in range(n + 1, half + 1)
-    ]
-    for rep in representatives:
-        members = _orbit(rep[0], rep[1], size)
-        lams = grover_eigenvalues(rep[0], rep[1], size)
-        for k, value in enumerate(lams, start=1):
-            total = np.zeros(4, dtype=np.complex128)
-            for member in members:
-                total += value_weight(member, value)
-            classes.append(
-                ClassCoefficients(
-                    complex(value), total, len(members), rep, k, members
-                )
-            )
+    # Other orbits: class k holds the k-th closed-form eigenvalue of the representative.
+    representatives, orbits = _orbit_labels(size)
+    expected = grover_eigenvalues(representatives[:, 0], representatives[:, 1], size)
+    match = np.abs(expected[orbits][..., :, None] - values[..., None, :]) <= DEGENERACY_TOL
+    lacking = np.argwhere(~match.any(axis=-1))
+    if lacking.size:
+        n, m, k = lacking[0]
+        value = expected[orbits[n, m], k]
+        raise SpectralError(f"block ({n}, {m}) lacks expected eigenvalue {value:.6f}")
+    weights = np.einsum("...kj,...jc->...kc", match, terms).reshape(-1, 4, 4)
+    totals = sum_by_label(orbits.ravel()[1:], weights[1:])
+    blocks = np.stack(np.divmod(np.argsort(orbits, axis=None, kind="stable"), size), axis=-1)
+    members = np.split(blocks, np.cumsum(np.bincount(orbits.ravel()))[:-1])
+    for orbit in range(1, len(members)):
+        rep = tuple(representatives[orbit].tolist())
+        pairs = tuple(map(tuple, members[orbit].tolist()))
+        for k, (value, total) in enumerate(zip(expected[orbit].tolist(), totals[orbit]), 1):
+            classes.append(ClassCoefficients(value, total, len(pairs), rep, k, pairs))
     return classes
 
 

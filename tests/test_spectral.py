@@ -115,6 +115,18 @@ def test_grover_eigenvalues_example_block():
     assert values[3] == pytest.approx(0.25 + 0.9682458365518543j, abs=1e-10)
 
 
+def test_grover_eigenvalues_broadcast_matches_scalar_calls():
+    size = 9
+    n, m = np.indices((size, size))
+    stacked = grover_eigenvalues(n, m, size)
+    assert stacked.shape == (size, size, 4)
+    for a in range(size):
+        for b in range(size):
+            scalar = grover_eigenvalues(a, b, size)
+            assert scalar.shape == (4,)
+            assert np.array_equal(stacked[a, b], scalar)
+
+
 @pytest.mark.parametrize("size", [5, 7, 9])
 def test_grover_eigenvalues_match_numeric_all_blocks(size):
     coin = grover_coin()
@@ -228,6 +240,26 @@ def test_degeneracy_class_members_share_cosine_sum():
         reference = np.cos(xi(rep[0])) + np.cos(xi(rep[1]))
         for n, m in cls.members:
             assert abs(np.cos(xi(n)) + np.cos(xi(m)) - reference) < 1e-12
+
+
+@pytest.mark.parametrize("size", [3, 5, 7, 9])
+def test_degeneracy_class_is_the_origin_coefficients_class(size):
+    # the antidiagonal block (n, N - n) shares the two-member class of (n, n)
+    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
+    holding = {
+        member: cls.members
+        for cls in expansion.classes
+        if cls.representative != (0, 0)
+        for member in cls.members
+    }
+    for n in range(size):
+        for m in range(size):
+            if (n, m) == (0, 0):
+                continue
+            members = degeneracy_class(n, m, size).members
+            assert members == holding[n, m]
+            for member in members:
+                assert set(degeneracy_class(*member, size).members) == set(members)
 
 
 def test_degeneracy_class_eigenvalue_field():
@@ -400,6 +432,78 @@ def test_grover_pure_r_cross_chirality_coefficients():
             8 * np.cos(xi(m) / 2) ** 2 * np.cos(xi(n) / 2) ** 2 / (2 + cm + cn),
             abs=1e-9,
         )
+
+
+def reference_grover_classes(spec, size):
+    """
+    The grover class table from explicit orbit sets and a per-member loop
+    over `build_block`: (representative, k, members, multiplicity,
+    eigenvalue, weights) per class, block (0, 0) left out.
+    """
+    half = (size - 1) // 2
+    representatives = (
+        [(n, 0) for n in range(1, half + 1)]
+        + [(n, n) for n in range(1, size)]
+        + [(n, m) for n in range(1, half) for m in range(n + 1, half + 1)]
+    )
+
+    def orbit(n, m):
+        if m == 0:
+            return {(n, 0), (0, n), (size - n, 0), (0, size - n)}
+        if n == m:
+            return {(n, n), (n, size - n)}
+        pairs = {(p, q) for p in (n, size - n) for q in (m, size - m)}
+        return pairs | {(q, p) for p, q in pairs}
+
+    blocks = {}
+    rows = []
+    for rep in representatives:
+        members = tuple(sorted(orbit(*rep)))
+        for k, value in enumerate(grover_eigenvalues(*rep, size), start=1):
+            total = np.zeros(4, dtype=complex)
+            for member in members:
+                if member not in blocks:
+                    blocks[member] = build_block(grover_coin(), *member, size)
+                block = blocks[member]
+                match = np.abs(block.eigenvalues - value) <= DEGENERACY_TOL
+                assert match.any()
+                vectors = block.eigenvectors[:, match]
+                total += vectors @ (vectors.conj().T @ spec.weights)
+            rows.append((rep, k, members, len(members), complex(value), total))
+    return rows
+
+
+@pytest.mark.parametrize("size", [3, 5, 7, 9, 21])
+@pytest.mark.parametrize(
+    "spec",
+    [InitialSpec.pure("R"), InitialSpec.pure("L"), InitialSpec(0.5, -0.5j, 0.5, 0.5j)],
+    ids=["R", "L", "custom"],
+)
+def test_grover_class_table_matches_per_member_reference(spec, size):
+    expansion = origin_coefficients(grover_coin(), spec, size)
+    origin = [cls for cls in expansion.classes if cls.representative == (0, 0)]
+    assert [cls.members for cls in origin] == [((0, 0),)] * 2
+    table = expansion.classes[len(origin):]
+    reference = reference_grover_classes(spec, size)
+    assert len(table) == len(reference)
+    for cls, (rep, k, members, multiplicity, value, weights) in zip(table, reference):
+        assert (cls.representative, cls.k, cls.members) == (rep, k, members)
+        assert (cls.multiplicity, cls.eigenvalue) == (multiplicity, value)
+        assert np.abs(cls.weights - weights).max() < 1e-12
+
+
+def test_grover_class_table_names_block_lacking_its_eigenvalue(monkeypatch):
+    size = 7
+    origin_terms = spectral._origin_terms
+
+    def shifted(*args):
+        values, terms = origin_terms(*args)
+        values[(2 * size + 3) * 4 + 2] += 1e-6  # block (2, 3), its l3
+        return values, terms
+
+    monkeypatch.setattr(spectral, "_origin_terms", shifted)
+    with pytest.raises(SpectralError, match=r"block \(2, 3\) lacks expected eigenvalue"):
+        origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
 
 
 @pytest.mark.parametrize("size", [5, 7])
@@ -625,6 +729,16 @@ def cluster_sequences(decomposition):
         [(c.value, c.multiplicity) for c in decomposition.clusters],
         [(complex(*c["value"]), c["multiplicity"]) for c in payload],
     )
+
+
+def test_block_eigenvalue_order_ignores_last_bit_of_real_part():
+    # grover's l3, l4 share their real part in theory: l3 (Im < 0) comes first
+    values = SpectralDecomposition.build(grover_coin(), 21).values
+    rounded = np.round(values.real / DEGENERACY_TOL)
+    tied = rounded[..., :, None] == rounded[..., None, :]
+    later = np.triu(np.ones((4, 4), dtype=bool), k=1)
+    decreasing = values.imag[..., :, None] > values.imag[..., None, :]
+    assert not (tied & later & decreasing).any()
 
 
 @pytest.mark.parametrize("coin", [grover_coin(), a1_coin()], ids=["grover", "a1"])

@@ -85,6 +85,25 @@ def test_exact_parity_average_identity(coin):
     assert np.abs(full - (even + odd) / 2).max() < 1e-12
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([3, 5, 7]),
+)
+def test_exact_parity_average_identity_random_coin_and_weights(seed, size):
+    # Haar spectra hold no +-l pairs; the fixed coins above carry the pairing
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    coin = custom_coin(q * np.exp(-1j * np.angle(np.diag(r)))[None, :], label="haar")
+    weights = rng.normal(size=4) + 1j * rng.normal(size=4)
+    spec = InitialSpec(*(weights / np.linalg.norm(weights)))
+    full = np.array(exact_time_average(coin, spec, size).per_chirality)
+    even = np.array(exact_time_average(coin, spec, size, parity="even").per_chirality)
+    odd = np.array(exact_time_average(coin, spec, size, parity="odd").per_chirality)
+    assert np.abs(full - (even + odd) / 2).max() < 1e-12
+
+
 def test_exact_rejects_non_origin_site():
     with pytest.raises(ValueError, match="origin"):
         exact_time_average(grover_coin(), PURE_R, 5, site=(1, 0))
