@@ -14,24 +14,15 @@ walk.  For the diffusion (grover) coin the whole eigensystem is available
 in closed form, and the strong degeneracy of the eigenvalues -1 and +1
 (multiplicities N^2 + 2 and N^2) is what produces localization.
 
-Closed-form eigenvector conventions
+Closed forms for the diffusion coin
 -----------------------------------
-The grover block spectrum is {-1, +1, l3, l4} with
-l3/l4 = (-c -+ i sqrt(4 - c^2))/2, c = cos(2 pi n / N) + cos(2 pi m / N);
-l3 carries the negative imaginary part.  Eigenvectors split into five
-block families under H(n, m) as defined above:
+The grover coin is J/2 - I (J all ones), so with d the phases of block
+(n, m) and s the sum of the components of v, H v = l v reads
 
-- n == m (diagonal): four fixed vectors built from w^-n; the last two are
-  proportional to (0, -1, 0, 1) and (-1, 0, 1, 0).
-- n == 0, m > 0: the -1 eigenvector is (1, -1, 0, 0); the rest follow a
-  polynomial formula in the eigenvalue with parameter w^-m.
-- m == 0, n > 0: the mirror of the previous family under the swap
-  (R, L) <-> (U, D), with parameter w^-n.
-- n + m == N: four fixed vectors built from w^-n.
-- otherwise: a cubic-in-eigenvalue formula with parameters w^-n, w^-m.
+    (l + d_i) v_i = d_i s / 2,
 
-Each returned vector is normalized to unit length and paired with the
-eigenvalue order of `grover_eigenvalues`.
+so every eigenvector is d / (l + d) up to normalization, except where
+l + d_i vanishes (see `grover_eigenvectors`).
 
 Within a degenerate eigenvalue the eigenvectors are fixed only up to
 unitary mixing, so comparisons against the numeric backend must go
@@ -47,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coins import Coin, grover_coin
-from .state import InitialSpec, WalkState
+from .state import InitialSpec, WalkState, _check_size
 
 __all__ = [
     "DegeneracyClass",
@@ -220,12 +211,13 @@ def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
 def grover_eigenvalues(n, m, size: int) -> np.ndarray:
     """
     Closed-form eigenvalues of the grover block (n, m), ordered
-    [-1, +1, l3, l4] with Im(l3) <= 0 <= Im(l4).  Momentum arrays
-    broadcast, giving shape (..., 4); scalar momenta give shape (4,).
+    [-1, +1, l3, l4].  Momentum arrays broadcast, giving shape (..., 4);
+    scalar momenta give shape (4,).
 
-    For n == m the last two are -w^n and -w^-n; otherwise
-    l3/l4 = (-c -+ i sqrt(4 - c^2))/2 with
-    c = cos(2 pi n / N) + cos(2 pi m / N).
+    Off the diagonal l3/l4 = (-c -+ i sqrt(4 - c^2))/2 with
+    c = cos(2 pi n / N) + cos(2 pi m / N), so Im(l3) <= 0 <= Im(l4).  On
+    the diagonal (n == m) l3 = -w^n and l4 = -w^-n, so Im(l3) > 0 for
+    n > N/2.
     """
     n, m = np.broadcast_arrays(n, m)
     w = np.exp(2j * np.pi / size)
@@ -236,74 +228,37 @@ def grover_eigenvalues(n, m, size: int) -> np.ndarray:
     return np.stack(np.broadcast_arrays(-1.0, 1.0, l3, l4), axis=-1)
 
 
-def _axis_vectors(lams: np.ndarray, beta: complex, mirrored: bool) -> list[np.ndarray]:
-    """Eigenvectors for blocks with one trivial momentum pair."""
-    special = np.array([1.0, -1.0, 0.0, 0.0], dtype=complex)
-    vectors = [special]
-    for lam in lams[1:]:
-        v = np.array(
-            [
-                lam + beta,
-                lam + beta,
-                beta * lam + beta,
-                2 * lam ** 2 + beta * lam - beta,
-            ]
-        )
-        vectors.append(v)
-    if mirrored:
-        # swap (R, L) <-> (U, D)
-        vectors = [np.concatenate([v[2:], v[:2]]) for v in vectors]
-    return vectors
+_ORIGIN_VECTORS = np.array(
+    [[-1, 1, -1, 1], [1, 1, 1, 1], [0, -1, 0, 1], [-1, 0, 1, 0]]
+).T / [2.0, 2.0, np.sqrt(2.0), np.sqrt(2.0)]
 
 
-def grover_eigenvectors(n: int, m: int, size: int) -> np.ndarray:
+def grover_eigenvectors(n, m, size: int) -> np.ndarray:
     """
     Closed-form unit eigenvectors of the grover block (n, m) as columns,
-    paired with the eigenvalue order of `grover_eigenvalues`.
+    paired with the eigenvalue order of `grover_eigenvalues`.  Momentum
+    arrays broadcast, giving shape (..., 4, 4).
+
+    With d = momentum_phases(n, m, size), the column of eigenvalue l is
+    d / (l + d), normalized.  Where l + d_i vanishes, l = -d_i = -d_j for
+    one pair i < j (on axis, diagonal and antidiagonal blocks) and the
+    column is (e_j - e_i)/sqrt(2).  Block (0, 0), where l = -1 is
+    threefold, has the fixed columns (-1, 1, -1, 1)/2, (1, 1, 1, 1)/2,
+    (e_4 - e_2)/sqrt(2) and (e_3 - e_1)/sqrt(2).  An even N or one
+    below 3 raises ValueError.
     """
-    w = np.exp(2j * np.pi / size)
-    lams = grover_eigenvalues(n, m, size)
-    if n == m:
-        a = w ** -n
-        vectors = [
-            np.array([-a, 1.0, -a, 1.0]),
-            np.array([a, 1.0, a, 1.0]),
-            np.array([0.0, -1.0, 0.0, 1.0], dtype=complex),  # eigenvalue -w^n
-            np.array([-1.0, 0.0, 1.0, 0.0], dtype=complex),  # eigenvalue -w^-n
-        ]
-    elif n == 0:
-        vectors = _axis_vectors(lams, w ** -m, mirrored=False)
-    elif m == 0:
-        vectors = _axis_vectors(lams, w ** -n, mirrored=True)
-    elif n + m == size:
-        a = w ** -n
-        fixed = [
-            (-1.0, np.array([1.0, -1.0 / a, -1.0 / a, 1.0])),
-            (1.0, np.array([1.0, 1.0 / a, 1.0 / a, 1.0])),
-            (-(w ** n), np.array([0.0, -1.0, 1.0, 0.0], dtype=complex)),
-            (-(w ** -n), np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex)),
-        ]
-        vectors = []
-        for lam in lams:
-            match = min(fixed, key=lambda pair: abs(pair[0] - lam))
-            vectors.append(match[1])
-    else:
-        a = w ** -n
-        b = w ** -m
-        vectors = []
-        for lam in lams:
-            vectors.append(
-                np.array(
-                    [
-                        a * a * lam ** 2 + (a + a * a * b) * lam + a * b,
-                        lam ** 2 + (a + b) * lam + a * b,
-                        a * b * lam ** 2 + (b + a * a * b) * lam + a * b,
-                        2 * a * lam ** 3 + (1 + a * a + a * b) * lam ** 2 - a * b,
-                    ]
-                )
-            )
-    columns = np.column_stack([v / np.linalg.norm(v) for v in vectors])
-    return columns
+    _check_size(size)
+    n, m = np.broadcast_arrays(n, m)
+    d = momentum_phases(n, m, size)[..., :, None]
+    shift = grover_eigenvalues(n, m, size)[..., None, :] + d
+    vanishes = np.abs(shift) <= DEGENERACY_TOL
+    # -1 at the first vanishing component i, +1 at the second j
+    pair = np.where(vanishes, 2 * np.cumsum(vanishes, axis=-2) - 3, 0)
+    columns = np.where(
+        vanishes.any(axis=-2, keepdims=True), pair, d / np.where(vanishes, 1.0, shift)
+    )
+    columns = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
+    return np.where(((n == 0) & (m == 0))[..., None, None], _ORIGIN_VECTORS, columns)
 
 
 def a1_eigenvalues(n: int, m: int, size: int) -> np.ndarray:
@@ -376,9 +331,10 @@ def degeneracy_class(n: int, m: int, size: int, k: int = 3) -> DegeneracyClass:
     Raises
     ------
     ValueError
-        For (0, 0), whose fully degenerate block is handled on its own,
-        or for k outside 1..4.
+        For an even N or one below 3, for (0, 0), whose fully degenerate
+        block is handled on its own, or for k outside 1..4.
     """
+    _check_size(size)
     if not (0 <= n < size and 0 <= m < size):
         raise ValueError(f"momenta must lie in 0..{size - 1}, got ({n}, {m})")
     if n == 0 and m == 0:
@@ -425,7 +381,7 @@ class SpectralDecomposition:
 
     @classmethod
     def build(cls, coin: Coin, size: int) -> "SpectralDecomposition":
-        momenta = np.arange(size)
+        momenta = np.arange(_check_size(size))
         values = _eigensystems(coin, momenta[:, None], momenta, size)[0]
         centres, labels = cluster_labels(values.ravel())
         clusters = tuple(
@@ -508,7 +464,7 @@ def _origin_terms(coin: Coin, weights: np.ndarray, size: int):
     projection v (v^H weights) of the initial chirality vector on each
     paired eigenvector, (4 N^2, 4).  Every block is diagonalized once.
     """
-    momenta = np.arange(size)
+    momenta = np.arange(_check_size(size))
     values, vectors = _eigensystems(coin, momenta[:, None], momenta, size)
     terms = vectors * (vectors.conj().swapaxes(-1, -2) @ weights)[..., None, :]
     return values.reshape(-1), terms.swapaxes(-1, -2).reshape(-1, 4)

@@ -99,6 +99,21 @@ def test_simulate_backends_agree(tmp_path):
     assert gap < 1e-10
 
 
+@pytest.mark.parametrize(
+    "coin,steps,site", [("grover", 1, "(-1, 0)"), ("a2", 20, "(-6, -1)")]
+)
+def test_simulate_backends_print_the_same_maximum_site(coin, steps, site, tmp_path, capsys):
+    # the maximum is shared by sites equal by symmetry; both backends name the first
+    printed = []
+    for backend in ("direct", "spectral"):
+        argv = ["simulate", "--coin", coin, "--n", "21", "--steps", str(steps),
+                "--backend", backend, "--out", str(tmp_path / f"{backend}.csv")]
+        assert cli.main(argv) == 0
+        printed.append(capsys.readouterr().out.splitlines()[1])
+    assert printed[0] == printed[1]
+    assert printed[0].endswith(f"at {site}")
+
+
 def test_simulate_localization_summary(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = cli.main(

@@ -1,4 +1,4 @@
-"""The command-line examples in README.md run and print what their comments say."""
+"""The examples in README.md run and print what their comments say."""
 
 import json
 import pathlib
@@ -65,6 +65,20 @@ def check_comment(comment: str, out: str, argv: list[str]) -> None:
         assert out.strip() == comment
     else:
         pytest.fail(f"no check for README comment {comment!r}")
+
+
+def test_readme_library_example():
+    block = README.read_text().split("## Library example", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.partition("#")[2].strip() for line in code.splitlines() if "print(" in line]
+    assert comments == ["0.3269...", "== qw.grover_closed_form(9)", "False"]
+    printed = []
+    namespace = {"print": printed.append}
+    exec(code, namespace)
+    origin, exact, localizing = printed
+    assert str(origin).startswith("0.3269")
+    assert exact == pytest.approx(namespace["qw"].grover_closed_form(9), rel=1e-12, abs=0)
+    assert localizing is False
 
 
 @pytest.mark.parametrize(

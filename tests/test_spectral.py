@@ -147,26 +147,51 @@ def test_a1_eigenvalues_match_numeric_all_blocks(size):
             assert multiset_gap(numeric, closed) < 1e-10
 
 
-@pytest.mark.parametrize("size", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("size", [5, 9, 21])
+def test_grover_eigenvalues_l3_rule(size):
+    n, m = np.indices((size, size))
+    values = grover_eigenvalues(n, m, size)
+    off = values[n != m]
+    assert (off[:, 2].imag <= 0).all() and (off[:, 3].imag >= 0).all()
+    diagonal = np.arange(size)
+    w = np.exp(2j * np.pi / size)
+    assert np.array_equal(values[diagonal, diagonal, 2], -(w ** diagonal))
+    # past N/2 the diagonal l3 = -w^n has a positive imaginary part
+    assert (values[diagonal, diagonal, 2].imag[diagonal > size / 2] > 0).all()
+
+
+@pytest.mark.parametrize("size", [3, 5, 7, 9, 11, 21, 41])
 def test_grover_eigenvectors_residuals_every_block(size):
-    coin = grover_coin()
-    for n in range(size):
-        for m in range(size):
-            h = block_matrix(coin, n, m, size)
-            values = grover_eigenvalues(n, m, size)
-            vectors = grover_eigenvectors(n, m, size)
-            assert np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() < 1e-12
-            residual = np.abs(h @ vectors - vectors * values[None, :]).max()
-            assert residual < 1e-10
+    n, m = np.indices((size, size))
+    h = block_matrix(grover_coin(), n, m, size)
+    values = grover_eigenvalues(n, m, size)
+    vectors = grover_eigenvectors(n, m, size)
+    assert vectors.shape == (size, size, 4, 4)
+    for a in range(size):
+        for b in range(size):
+            assert np.array_equal(vectors[a, b], grover_eigenvectors(a, b, size))
+    assert np.abs(np.linalg.norm(vectors, axis=-2) - 1.0).max() < 1e-12
+    assert np.abs(h @ vectors - vectors * values[..., None, :]).max() <= 1e-12
+    gram = vectors.conj().swapaxes(-1, -2) @ vectors
+    assert np.abs(gram - np.eye(4)).max() <= 1e-12
 
 
-def test_grover_eigenvectors_orthonormal_within_block():
-    for size in (5, 7):
-        for n in range(size):
-            for m in range(size):
-                v = grover_eigenvectors(n, m, size)
-                gram = v.conj().T @ v
-                assert np.abs(gram - np.eye(4)).max() < 1e-12
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda size: grover_eigenvectors(1, 2, size),
+        lambda size: SpectralDecomposition.build(grover_coin(), size),
+        lambda size: origin_coefficients(grover_coin(), InitialSpec.pure("R"), size),
+        lambda size: origin_eigenvalue_amplitudes(a1_coin(), InitialSpec.pure("R"), size),
+        lambda size: exact_time_average(grover_coin(), InitialSpec.pure("R"), size),
+        lambda size: degeneracy_class(0, 1, size),
+    ],
+    ids=["grover_eigenvectors", "build", "origin_coefficients", "amplitudes", "exact", "class"],
+)
+@pytest.mark.parametrize("size", [1, 4, 6])
+def test_spectral_paths_reject_even_or_small_sizes(call, size):
+    with pytest.raises(ValueError, match="odd integer >= 3"):
+        call(size)
 
 
 def test_diagonal_block_fixed_vectors():
@@ -178,10 +203,10 @@ def test_diagonal_block_fixed_vectors():
 
 
 def test_axis_block_special_vector():
-    # (1,-1,0,0)/sqrt(2) spans the -1 eigenspace of the block whose R/L
-    # phases are trivial, i.e. (n, m) = (0, k); its (R,L)<->(U,D) mirror
-    # handles (k, 0).
-    v = np.array([1, -1, 0, 0]) / np.sqrt(2)
+    # (-1,1,0,0)/sqrt(2) = (e_2 - e_1)/sqrt(2) spans the -1 eigenspace of
+    # the block whose R/L phases are trivial, i.e. (n, m) = (0, k); its
+    # (R,L)<->(U,D) mirror handles (k, 0).
+    v = np.array([-1, 1, 0, 0]) / np.sqrt(2)
     h = block_matrix(grover_coin(), 0, 1, 5)
     assert np.linalg.norm(h @ v + v) < 1e-12
     assert np.abs(grover_eigenvectors(0, 1, 5)[:, 0] * np.sqrt(2) - v * np.sqrt(2)).max() < 1e-12
