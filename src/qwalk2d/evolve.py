@@ -3,22 +3,61 @@ Direct time evolution of the coined walk.
 
 One step applies the coin at every site and then shifts each chirality
 component one site along its direction, with periodic wraparound:
-R moves +x, L moves -x, U moves +y, D moves -y.  The update reads the old
-grid and writes a fresh one; in-place updates would make the shift
-order-dependent.
+R moves +x, L moves -x, U moves +y, D moves -y.  Each call allocates two
+(N, N, 4) buffers and one gather index and reuses them for every step:
+the coin is one matrix product from the state buffer into the mixing
+buffer, and the shift gathers the mixing buffer back through the index,
+so it never reads the buffer it writes.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .coins import Coin
-from .state import WalkState
+from .state import NORM_TOL, ConsistencyError, WalkState
 
 __all__ = ["evolve", "step"]
 
 #: Displacement (dx, dy) applied to each chirality component, in (R, L, U, D) order.
 SHIFTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def trajectory(state: WalkState, coin: Coin):
+    """
+    Yield the amplitudes at t = state.t, state.t + 1, ...: always the same
+    (N, N, 4) buffer, advanced one step in place between yields.  The
+    input state is copied, never mutated.
+    """
+    amplitudes = state.amplitudes.copy()
+    mixed = np.empty_like(amplitudes)
+    n, (dx, dy) = state.n, np.array(SHIFTS).T
+    x, y = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    # (x, y, c) is gathered from (x - dx_c, y - dy_c, c) mod n; one full-size temporary
+    index = (x - dx) % n * n + (y - dy) % n
+    index *= 4
+    index += np.arange(4)
+    flat, mixed_flat, index = amplitudes.reshape(-1), mixed.reshape(-1), index.reshape(-1)
+    gate = coin.entries.T
+    while True:
+        yield amplitudes
+        # N stacked (N, 4) @ (4, 4) products: one (N^2, 4) product is large enough
+        # for OpenBLAS to go multithreaded, which stalled for milliseconds per call
+        np.matmul(amplitudes, gate, out=mixed)
+        # every index is in range; "wrap" only spares take() the output copy "raise" makes
+        np.take(mixed_flat, index, out=flat, mode="wrap")
+
+
+def check_norm(state: WalkState, steps: int) -> WalkState:
+    """Return `state`; raise ConsistencyError when its norm drifted from 1 by more than NORM_TOL."""
+    drift = abs(state.norm_sq() - 1.0)
+    if drift > NORM_TOL:
+        raise ConsistencyError(
+            f"state norm drifted by {drift:.3e} over {steps} steps (limit {NORM_TOL:.0e})"
+        )
+    return state
 
 
 def step(state: WalkState, coin: Coin) -> WalkState:
@@ -29,20 +68,20 @@ def step(state: WalkState, coin: Coin) -> WalkState:
     chirality vector at (x-1, y), and analogously for L, U, D from
     (x+1, y), (x, y-1), (x, y+1), all mod N.
     """
-    mixed = state.amplitudes @ coin.entries.T
-    out = np.empty_like(mixed)
-    for c, shift in enumerate(SHIFTS):
-        out[:, :, c] = np.roll(mixed[:, :, c], shift, axis=(0, 1))
-    return WalkState(out, state.t + 1, validate=False)
+    return evolve(state, coin, 1)
 
 
 def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
     """
-    Apply `step` the given number of times; steps = 0 returns the input.
+    Advance the walk by `steps` steps; steps = 0 returns the input.
+
+    Raises ConsistencyError when the final norm drifts from 1 by more
+    than NORM_TOL.
     """
     steps = int(steps)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    for _ in range(steps):
-        state = step(state, coin)
-    return state
+    if steps == 0:
+        return state
+    amplitudes = next(islice(trajectory(state, coin), steps, None))
+    return check_norm(WalkState(amplitudes, state.t + steps, validate=False), steps)

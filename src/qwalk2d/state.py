@@ -18,6 +18,7 @@ import numpy as np
 from .coins import CHIRALITIES, chirality_index
 
 __all__ = [
+    "ConsistencyError",
     "InitialSpec",
     "WalkState",
     "coords",
@@ -31,6 +32,10 @@ __all__ = [
 NORM_TOL = 1e-10
 #: Tolerance on the normalization of an initial chirality vector.
 SPEC_NORM_TOL = 1e-12
+
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check between independent computations failed."""
 
 
 def _check_size(n: int) -> int:

@@ -32,18 +32,19 @@ import math
 import pathlib
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .coins import CHIRALITIES, Coin, chirality_index
-from .evolve import step
+from .evolve import check_norm, trajectory
 from .spectral import (
     SpectralDecomposition,
     cluster_labels,
     origin_eigenvalue_amplitudes,
     sum_by_label,
 )
-from .state import InitialSpec, WalkState
+from .state import ConsistencyError, InitialSpec, WalkState
 
 __all__ = [
     "AlphaExtrema",
@@ -65,10 +66,6 @@ __all__ = [
 ]
 
 PARITIES = ("all", "even", "odd")
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check between independent computations failed."""
 
 
 @dataclass(frozen=True)
@@ -149,24 +146,24 @@ def empirical_time_average(
     t = 0 ... horizon-1 along a simulated trajectory.
 
     Parity-restricted averages divide by the number of time points in
-    the class (ceil(T/2) even, floor(T/2) odd).
+    the class (ceil(T/2) even, floor(T/2) odd); an empty class (odd
+    times with T = 1) raises ValueError.  Raises ConsistencyError when
+    the final norm drifts from 1 by more than NORM_TOL.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     _check_parity(parity)
+    times = range(1 if parity == "odd" else 0, horizon, 1 if parity == "all" else 2)
+    if not times:
+        raise ValueError(f"no {parity} time below the horizon T = {horizon}")
     x, y = site
     ix, iy = initial._site(int(x), int(y))
     acc = np.zeros(4)
-    count = 0
-    state = initial
-    for t in range(horizon):
-        if parity == "all" or t % 2 == (0 if parity == "even" else 1):
-            acc += np.abs(state.amplitudes[ix, iy]) ** 2
-            count += 1
-        if t + 1 < horizon:
-            state = step(state, coin)
-    values = acc / count if count else acc
+    for amplitudes in islice(trajectory(initial, coin), times.start, horizon, times.step):
+        acc += np.abs(amplitudes[ix, iy]) ** 2
+    check_norm(WalkState(amplitudes, validate=False), horizon - 1)
+    values = acc / len(times)
     return _report(
         "empirical", parity, coin.label, _initial_label(initial), initial.n,
         values, samples=horizon, site=(x, y),

@@ -240,13 +240,15 @@ def test_usage_errors_exit_2(tmp_path):
                      "--out", out]) == 2
     assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "-2",
                      "--out", out]) == 2
+    assert cli.main(["timeavg", "--coin", "grover", "--n", "5", "--method", "empirical",
+                     "--parity", "odd", "--samples", "1"]) == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--coin", "grover", "--n", "4", "--steps", "1",
                   "--out", out])
     assert exc.value.code == 2
 
 
-def test_numeric_errors_exit_3(monkeypatch):
+def test_numeric_errors_exit_3(monkeypatch, tmp_path):
     from qwalk2d.spectral import SpectralError
 
     def boom(coin, size):
@@ -254,6 +256,14 @@ def test_numeric_errors_exit_3(monkeypatch):
 
     monkeypatch.setattr(cli.ta, "localization_predictor", boom)
     assert cli.main(["predict", "--coin", "grover", "--n", "5"]) == 3
+
+    leaky = cli.parse_coin("grover")
+    object.__setattr__(leaky, "entries", 1.001 * leaky.entries)  # past Coin validation
+    monkeypatch.setattr(cli, "parse_coin", lambda text: leaky)
+    assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "2",
+                     "--out", str(tmp_path / "grid.csv")]) == 3
+    assert cli.main(["timeavg", "--coin", "grover", "--n", "5", "--method", "empirical",
+                     "--samples", "2"]) == 3
 
 
 def test_io_errors_exit_1(tmp_path):

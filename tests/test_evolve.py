@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qwalk2d
 from qwalk2d import (
+    ConsistencyError,
+    WalkState,
     a1_coin,
     custom_coin,
+    empirical_time_average,
     evolve,
     grover_coin,
     origin_superposition,
@@ -13,6 +17,7 @@ from qwalk2d import (
     symmetric_family,
     InitialSpec,
 )
+from qwalk2d import state as state_module, timeavg
 
 
 def random_unitary_coin(seed: int):
@@ -21,6 +26,77 @@ def random_unitary_coin(seed: int):
     q, r = np.linalg.qr(z)
     q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
     return custom_coin(q, label=f"random-{seed}")
+
+
+def reference_step(amplitudes, coin):
+    """One coin-and-shift step by four np.roll copies, the stepper the fused kernel replaced."""
+    mixed = amplitudes @ coin.entries.T
+    out = np.empty_like(mixed)
+    for c, shift in enumerate(((1, 0), (-1, 0), (0, 1), (0, -1))):
+        out[:, :, c] = np.roll(mixed[:, :, c], shift, axis=(0, 1))
+    return out
+
+
+def random_state(n, seed):
+    """A normalized state with every amplitude nonzero, so every gather entry matters."""
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4))
+    return WalkState(amplitudes / np.sqrt((np.abs(amplitudes) ** 2).sum()), 3)
+
+
+KERNEL_COINS = [random_unitary_coin(101), grover_coin(), a1_coin()]
+
+
+@pytest.mark.parametrize("coin", KERNEL_COINS, ids=lambda c: c.label)
+@pytest.mark.parametrize("n", [3, 5, 21])
+def test_evolve_equals_roll_reference_bit_for_bit(coin, n):
+    initial = random_state(n, seed=n)
+    before = initial.amplitudes.copy()
+    expected, done = initial.amplitudes, 0
+    for t in (0, 1, 2, 37):
+        while done < t:
+            expected, done = reference_step(expected, coin), done + 1
+        got = evolve(initial, coin, t)
+        assert got.t == initial.t + t
+        assert np.array_equal(got.amplitudes, expected)
+    assert np.array_equal(initial.amplitudes, before) and initial.t == 3
+    one = step(initial, coin)
+    assert one.t == initial.t + 1
+    assert np.array_equal(one.amplitudes, evolve(initial, coin, 1).amplitudes)
+
+
+def reference_empirical(initial, coin, horizon, site, parity):
+    """Per-step loop over every t < horizon, stepping by `reference_step`."""
+    ix, iy = site[0] % initial.n, site[1] % initial.n
+    acc, count, amplitudes = np.zeros(4), 0, initial.amplitudes
+    for t in range(horizon):
+        if parity == "all" or t % 2 == (parity == "odd"):
+            acc += np.abs(amplitudes[ix, iy]) ** 2
+            count += 1
+        amplitudes = reference_step(amplitudes, coin)
+    return tuple(acc / count)
+
+
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("horizon", [2, 41, 60])
+def test_empirical_equals_per_step_reference_bit_for_bit(parity, horizon):
+    coin, initial = random_unitary_coin(7), random_state(5, seed=11)
+    before = initial.amplitudes.copy()
+    report = empirical_time_average(initial, coin, horizon, site=(1, -2), parity=parity)
+    assert report.per_chirality == reference_empirical(initial, coin, horizon, (1, -2), parity)
+    assert np.array_equal(initial.amplitudes, before) and initial.t == 3
+
+
+def test_planted_non_unitary_coin_raises_consistency_error():
+    assert qwalk2d.ConsistencyError is timeavg.ConsistencyError is state_module.ConsistencyError
+    coin = grover_coin()
+    object.__setattr__(coin, "entries", 1.001 * coin.entries)  # past Coin validation
+    with pytest.raises(ConsistencyError, match="norm drifted"):
+        evolve(pure_state(5, "R"), coin, 3)
+    with pytest.raises(ConsistencyError, match="norm drifted"):
+        step(pure_state(5, "R"), coin)
+    with pytest.raises(ConsistencyError, match="norm drifted"):
+        empirical_time_average(pure_state(5, "R"), coin, 3)
 
 
 def test_identity_coin_is_pure_right_shift():

@@ -71,7 +71,7 @@ def test_readme_library_example():
     block = README.read_text().split("## Library example", 1)[1]
     code = block.split("```python\n", 1)[1].split("```", 1)[0]
     comments = [line.partition("#")[2].strip() for line in code.splitlines() if "print(" in line]
-    assert comments == ["0.3269...", "== qw.grover_closed_form(9)", "False"]
+    assert comments == ["0.3269...", "qw.grover_closed_form(9) within rel 1e-12", "False"]
     printed = []
     namespace = {"print": printed.append}
     exec(code, namespace)

@@ -136,6 +136,9 @@ def test_empirical_identity_coin_hand_values():
 def test_empirical_rejects_bad_horizon():
     with pytest.raises(ValueError):
         empirical_time_average(origin_superposition(5, PURE_R), grover_coin(), 0)
+    # t = 0 is the only time below T = 1, so the odd class is empty
+    with pytest.raises(ValueError, match="no odd time"):
+        empirical_time_average(origin_superposition(5, PURE_R), grover_coin(), 1, parity="odd")
 
 
 def test_empirical_converges_to_exact_for_a1():
