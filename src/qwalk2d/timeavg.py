@@ -148,7 +148,8 @@ def empirical_time_average(
     Parity-restricted averages divide by the number of time points in
     the class (ceil(T/2) even, floor(T/2) odd); an empty class (odd
     times with T = 1) raises ValueError.  Raises ConsistencyError when
-    the final norm drifts from 1 by more than NORM_TOL.
+    the final norm drifts from the input's by more than `check_norm`
+    allows.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -162,7 +163,7 @@ def empirical_time_average(
     acc = np.zeros(4)
     for amplitudes in islice(trajectory(initial, coin), times.start, horizon, times.step):
         acc += np.abs(amplitudes[ix, iy]) ** 2
-    check_norm(WalkState(amplitudes, validate=False), horizon - 1)
+    check_norm(amplitudes, initial.norm_sq(), coin, horizon - 1)
     values = acc / len(times)
     return _report(
         "empirical", parity, coin.label, _initial_label(initial), initial.n,

@@ -266,6 +266,19 @@ def test_numeric_errors_exit_3(monkeypatch, tmp_path):
                      "--samples", "2"]) == 3
 
 
+def test_decimal_coin_file_evolves_long(tmp_path):
+    # grover with 10-decimal entries: accepted by Coin, norm^2 grows ~4e-10 a step
+    path = tmp_path / "decimal.json"
+    entries = [[[-0.5000000001 if i == j else 0.5000000001, 0.0] for j in range(4)]
+               for i in range(4)]
+    path.write_text(json.dumps(entries))
+    coin = f"file:{path}"
+    assert cli.main(["simulate", "--coin", coin, "--n", "5", "--steps", "2000",
+                     "--backend", "direct", "--out", str(tmp_path / "grid.csv")]) == 0
+    assert cli.main(["timeavg", "--coin", coin, "--n", "5", "--method", "empirical",
+                     "--samples", "2000"]) == 0
+
+
 def test_io_errors_exit_1(tmp_path):
     missing_dir = tmp_path / "nope" / "grid.csv"
     assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "1",

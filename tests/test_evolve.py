@@ -99,6 +99,16 @@ def test_planted_non_unitary_coin_raises_consistency_error():
         empirical_time_average(pure_state(5, "R"), coin, 3)
 
 
+def test_admitted_decimal_coin_runs_long_without_raising():
+    # Coin admits entrywise residuals up to 1e-9; this one is 4e-10, so the
+    # norm^2 grows by about 4e-10 a step, past NORM_TOL within a step
+    coin = custom_coin((1 + 2e-10) * grover_coin().entries)
+    state = evolve(pure_state(5, "R"), coin, 20_000)
+    assert state.norm_sq() - 1.0 > 1e-6
+    report = empirical_time_average(pure_state(5, "R"), coin, 20_000)
+    assert report.total > 0.0
+
+
 def test_identity_coin_is_pure_right_shift():
     identity = custom_coin(np.eye(4), label="identity")
     state = evolve(pure_state(5, "R"), identity, 3)
