@@ -1,0 +1,105 @@
+"""
+Digests of what the CLI prints and writes, over a fixed list of jobs.
+
+    python3 bench/outputs.py OUT.json
+
+Run from the root of a source checkout: the program is imported from
+that checkout's `src/`, under the benchmark's BLAS thread counts.  Each
+job is one in-process `qwalk2d.cli.main(argv)` call.  The Haar `file:`
+coin and the `custom:` initial state come from `perfbench/inputs.py` at
+seed SEED.  OUT.json holds, per job, the exit code and the sha256 of its
+stdout and of the file it wrote (null when it wrote none), so two source
+trees print and write the same bytes exactly when their files are equal:
+
+    diff parent.json change.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import THREADS  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "src"))
+for _name, _count in THREADS.items():
+    os.environ.setdefault(_name, _count)  # as the benchmark runs; must precede numpy
+
+from inputs import generate  # noqa: E402
+
+from qwalk2d import cli  # noqa: E402
+
+SEED = 101
+COINS = ("grover", "a1", "a2", "a4:0.3", "haar")
+SIZES = (9, 21)
+
+
+def jobs(haar: str, custom: str):
+    """(name, argv, output suffix or None) for every job, in a fixed order."""
+    initials = {"R": "R", "custom": custom}
+    for coin in COINS:
+        selector = haar if coin == "haar" else coin
+        for n in SIZES:
+            for init_name, initial in initials.items():
+                for steps in (1, 2 * n + 3):
+                    for backend in ("direct", "spectral"):
+                        for fmt in ("csv", "json"):
+                            yield (f"simulate/{backend}/{coin}/{init_name}/N{n}/t{steps}/{fmt}",
+                                   ["simulate", "--coin", selector, "--n", str(n),
+                                    "--steps", str(steps), "--initial", initial,
+                                    "--backend", backend, "--format", fmt], fmt)
+                for parity in ("all", "even", "odd"):
+                    yield (f"timeavg-exact/{coin}/{init_name}/{parity}/N{n}",
+                           ["timeavg", "--method", "exact", "--coin", selector, "--n", str(n),
+                            "--initial", initial, "--parity", parity], "json")
+            yield f"spectrum/{coin}/N{n}", ["spectrum", "--coin", selector, "--n", str(n)], "json"
+            yield f"predict/{coin}/N{n}", ["predict", "--coin", selector, "--n", str(n)], None
+    for fmt in ("csv", "json"):
+        yield (f"simulate/direct/a1/custom/N201/t200/{fmt}",
+               ["simulate", "--coin", "a1", "--n", "201", "--steps", "200", "--initial", custom,
+                "--format", fmt], fmt)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=pathlib.Path, help="JSON file to write")
+    args = parser.parse_args(argv)
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        inputs = generate(SEED, tmp, haar_sizes=SIZES)
+        for name, command, suffix in jobs(f"file:{inputs.haar_path}", inputs.custom):
+            out = tmp / f"out.{suffix}"
+            out.unlink(missing_ok=True)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(command + (["--out", str(out)] if suffix else []))
+            records.append({
+                "job": name,
+                "exit": code,
+                "stdout_sha256": sha256(stdout.getvalue().encode()),
+                "file_sha256": sha256(out.read_bytes()) if out.exists() else None,
+            })
+    payload = {"seed": SEED, "jobs": records}
+    args.out.write_text(json.dumps(payload, indent=2) + "\n")
+    failed = sum(record["exit"] != 0 for record in records)
+    print(f"{len(records)} jobs, {failed} non-zero exits; wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

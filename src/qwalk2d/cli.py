@@ -60,12 +60,17 @@ def parse_complex(text: str) -> complex:
             theta /= float(theta_match.group("den"))
         if polar.group("sign") == "-":
             theta = -theta
-        return modulus * complex(np.cos(theta), np.sin(theta))
-    normalized = re.sub(r"(?<![0-9.])j", "1j", text.replace("i", "j").replace(" ", ""))
-    try:
-        return complex(normalized)
-    except ValueError:
-        raise ValueError(f"cannot parse complex literal {text!r}") from None
+        # an infinite phase is refused below; np.cos would warn on it first
+        value = modulus * complex(np.cos(theta), np.sin(theta)) if np.isfinite(theta) else np.nan
+    else:
+        normalized = re.sub(r"(?<![0-9.])j", "1j", text.replace("i", "j").replace(" ", ""))
+        try:
+            value = complex(normalized)
+        except ValueError:
+            raise ValueError(f"cannot parse complex literal {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def parse_coin(text: str) -> Coin:

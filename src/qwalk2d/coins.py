@@ -101,6 +101,8 @@ class Coin:
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=np.complex128)
+        if not np.isfinite(entries).all():
+            raise ValueError(f"coin {self.label!r} has a non-finite entry")
         residual = unitarity_residual(entries)
         if residual >= CUSTOM_UNITARITY_TOL:
             raise ValueError(

@@ -65,7 +65,7 @@ def check_norm(amplitudes: np.ndarray, start_norm_sq: float, coin: Coin, steps: 
     residual = 4.0 * min(unitarity_residual(coin.entries), CUSTOM_UNITARITY_TOL)
     limit = NORM_TOL + start_norm_sq * math.expm1(steps * math.log1p(residual))
     drift = abs(float((np.abs(amplitudes) ** 2).sum()) - start_norm_sq)
-    if drift > limit:
+    if not drift <= limit:
         raise ConsistencyError(
             f"state norm drifted by {drift:.3e} over {steps} steps (limit {limit:.1e})"
         )

@@ -68,7 +68,7 @@ class InitialSpec:
 
     def __post_init__(self) -> None:
         total = sum(abs(complex(w)) ** 2 for w in self.as_tuple())
-        if abs(total - 1.0) > SPEC_NORM_TOL:
+        if not abs(total - 1.0) <= SPEC_NORM_TOL:
             raise ValueError(
                 f"initial weights must satisfy sum |w|^2 = 1, got {total!r}"
             )
@@ -130,7 +130,7 @@ class WalkState:
                 )
             _check_size(amplitudes.shape[0])
             total = float((np.abs(amplitudes) ** 2).sum())
-            if abs(total - 1.0) > NORM_TOL:
+            if not abs(total - 1.0) <= NORM_TOL:
                 raise ValueError(
                     f"state norm deviates from 1 by {abs(total - 1.0):.3e}"
                 )
@@ -227,29 +227,34 @@ def origin_superposition(n: int, spec: InitialSpec) -> WalkState:
     return WalkState(amplitudes, 0)
 
 
-def _grid_rows(state: WalkState):
-    grid = state.probability_grid()
+def _grid_columns(state: WalkState) -> tuple[list, list, list]:
+    """x, y and p of every site, x-major in centered coordinates, as Python lists."""
     cs = coords(state.n)
-    for i, x in enumerate(cs):
-        for j, y in enumerate(cs):
-            yield int(x), int(y), float(grid[i, j])
+    return (np.repeat(cs, state.n).tolist(), np.tile(cs, state.n).tolist(),
+            state.probability_grid().ravel().tolist())
 
 
 def write_grid_csv(state: WalkState, path) -> None:
-    """Write the probability grid as CSV rows `x,y,p` in centered coordinates."""
-    lines = ["x,y,p"]
-    lines.extend(f"{x},{y},{p:.17g}" for x, y, p in _grid_rows(state))
-    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+    """
+    Write the probability grid as CSV: a header `x,y,p`, then one row per
+    site in centered coordinates, x-major, p formatted `%.17g`; every line
+    ends in a newline.
+    """
+    rows = "\n".join(map("%d,%d,%.17g".__mod__, zip(*_grid_columns(state))))
+    pathlib.Path(path).write_text(f"x,y,p\n{rows}\n")
 
 
 def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = "") -> None:
-    """Write the probability grid as JSON with run metadata."""
-    payload = {
-        "coin": coin,
-        "N": state.n,
-        "t": state.t,
-        "initial": initial,
-        "columns": ["x", "y", "p"],
-        "rows": [[x, y, p] for x, y, p in _grid_rows(state)],
-    }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """
+    Write the probability grid as JSON with run metadata: the bytes of
+    `json.dumps(payload, indent=2, sort_keys=True)` plus a newline, where
+    `payload["rows"]` holds one [x, y, p] per site in CSV order and each p
+    is written as its Python `repr` (what `json` writes for a finite float).
+    """
+    payload = {"coin": coin, "N": state.n, "t": state.t, "initial": initial,
+               "columns": ["x", "y", "p"], "rows": 0}
+    # json escapes newlines and quotes inside strings: only the placeholder's own line matches
+    head, tail = json.dumps(payload, indent=2, sort_keys=True).split('\n  "rows": 0,\n')
+    rows = ",\n".join(map("    [\n      %d,\n      %d,\n      %r\n    ]".__mod__,
+                          zip(*_grid_columns(state))))
+    pathlib.Path(path).write_text(f'{head}\n  "rows": [\n{rows}\n  ],\n{tail}\n')

@@ -117,7 +117,7 @@ def _check_parity(parity: str) -> str:
 def _report(method, parity, coin_label, initial_label, size, values,
             samples=None, site=(0, 0)):
     values = np.asarray(values, dtype=float)
-    if values.min() < -1e-12 or values.max() > 1.0 + 1e-9:
+    if not (values.min() >= -1e-12 and values.max() <= 1.0 + 1e-9):
         raise ConsistencyError(
             f"per-chirality averages left [0, 1]: {values.tolist()}"
         )

@@ -29,6 +29,16 @@ def test_parse_complex_rejects_garbage():
         cli.parse_complex("e^{iq}")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["nan", "-nan", "nan+1i", "1e400", "1" + "0" * 400 + "e^{i pi/3}", "e^{i 1" + "0" * 400 + "}"],
+    ids=["nan", "-nan", "nan+1i", "1e400", "modulus-overflow", "phase-overflow"],
+)
+def test_parse_complex_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="not finite"):
+        cli.parse_complex(text)
+
+
 def test_parse_coin_selectors():
     assert cli.parse_coin("grover").label == "grover"
     assert cli.parse_coin("a1").label == "a1"
@@ -264,6 +274,42 @@ def test_numeric_errors_exit_3(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "grid.csv")]) == 3
     assert cli.main(["timeavg", "--coin", "grover", "--n", "5", "--method", "empirical",
                      "--samples", "2"]) == 3
+
+
+NAN_RUNS = {
+    "simulate-direct": ("simulate", "--n", "5", "--steps", "3", "--backend", "direct",
+                        "--out", "{out}"),
+    "simulate-spectral": ("simulate", "--n", "5", "--steps", "3", "--backend", "spectral",
+                          "--out", "{out}"),
+    "timeavg-empirical": ("timeavg", "--n", "5", "--method", "empirical", "--samples", "4"),
+}
+
+
+@pytest.mark.parametrize("argv", NAN_RUNS.values(), ids=NAN_RUNS.keys())
+def test_nan_coin_file_exits_2(argv, tmp_path, capsys):
+    # json.loads reads NaN; such a coin once ran and printed nan with exit 0
+    path = tmp_path / "nan.json"
+    entries = [[[-0.5 if i == j else 0.5, 0.0] for j in range(4)] for i in range(4)]
+    entries[1][2][0] = float("nan")
+    path.write_text(json.dumps(entries))
+    argv = [arg.format(out=tmp_path / "grid.csv") for arg in argv]
+    assert cli.main([*argv, "--coin", f"file:{path}"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+NAN_INITIAL_RUNS = {
+    **NAN_RUNS,
+    "timeavg-exact": ("timeavg", "--n", "5", "--method", "exact"),
+    "timeavg-limit": ("timeavg", "--method", "limit"),
+}
+
+
+@pytest.mark.parametrize("argv", NAN_INITIAL_RUNS.values(), ids=NAN_INITIAL_RUNS.keys())
+def test_nan_initial_state_exits_2(argv, tmp_path, capsys):
+    argv = [arg.format(out=tmp_path / "grid.csv") for arg in argv]
+    assert cli.main([*argv, "--coin", "grover", "--initial", "custom:nan,0,0,0"]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_decimal_coin_file_evolves_long(tmp_path):

@@ -135,6 +135,16 @@ def test_coin_json_non_unitary(tmp_path):
         coin_from_json(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_non_finite_entry_rejected(value):
+    entries = grover_coin().entries.copy()
+    entries[2, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        custom_coin(entries)
+    with pytest.raises(ValueError, match="non-finite"):
+        Coin(entries)
+
+
 def test_coin_dataclass_validates_directly():
     with pytest.raises(ValueError):
         Coin(np.full((4, 4), 0.5 + 1e-6))

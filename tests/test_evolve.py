@@ -99,6 +99,18 @@ def test_planted_non_unitary_coin_raises_consistency_error():
         empirical_time_average(pure_state(5, "R"), coin, 3)
 
 
+def test_planted_nan_coin_raises_consistency_error():
+    # NaN fails every comparison, so the drift check is written to fail on it
+    coin = grover_coin()
+    entries = coin.entries.copy()
+    entries[0, 1] = np.nan
+    object.__setattr__(coin, "entries", entries)  # past Coin validation
+    with pytest.raises(ConsistencyError, match="norm drifted by nan"):
+        evolve(pure_state(5, "R"), coin, 3)
+    with pytest.raises(ConsistencyError, match="norm drifted by nan"):
+        empirical_time_average(pure_state(5, "R"), coin, 3)
+
+
 def test_admitted_decimal_coin_runs_long_without_raising():
     # Coin admits entrywise residuals up to 1e-9; this one is 4e-10, so the
     # norm^2 grows by about 4e-10 a step, past NORM_TOL within a step

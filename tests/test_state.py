@@ -1,14 +1,16 @@
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
     InitialSpec,
     WalkState,
     coords,
+    evolve,
     grover_coin,
     origin_superposition,
     pure_state,
@@ -16,6 +18,7 @@ from qwalk2d import (
     write_grid_csv,
     write_grid_json,
 )
+from test_evolve import random_unitary_coin
 
 
 def test_pure_state_single_entry():
@@ -116,6 +119,21 @@ def test_walkstate_rejects_unnormalized():
         WalkState(arr)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_walkstate_rejects_non_finite_entry(value):
+    arr = np.zeros((5, 5, 4), complex)
+    arr[0, 0, 0] = 1.0
+    arr[1, 2, 3] = value
+    with pytest.raises(ValueError, match="norm"):
+        WalkState(arr)
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(np.nan, 0.0), np.inf])
+def test_initial_spec_rejects_non_finite_weight(value):
+    with pytest.raises(ValueError, match="sum"):
+        InitialSpec(value, 0.0, 0.0, 0.0)
+
+
 def test_walkstate_rejects_even_grid():
     arr = np.zeros((4, 4, 4), complex)
     arr[0, 0, 0] = 1.0
@@ -154,3 +172,92 @@ def test_grid_json_export_metadata(tmp_path):
     assert payload["t"] == 1
     assert payload["initial"] == "R"
     assert len(payload["rows"]) == 25
+
+
+# The writers as they were before the one-pass rewrite, kept as the byte reference.
+
+def reference_grid_rows(state):
+    grid = state.probability_grid()
+    cs = coords(state.n)
+    for i, x in enumerate(cs):
+        for j, y in enumerate(cs):
+            yield int(x), int(y), float(grid[i, j])
+
+
+def reference_grid_csv(state, path):
+    lines = ["x,y,p"]
+    lines.extend(f"{x},{y},{p:.17g}" for x, y, p in reference_grid_rows(state))
+    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_grid_json(state, path, *, coin="", initial=""):
+    payload = {
+        "coin": coin,
+        "N": state.n,
+        "t": state.t,
+        "initial": initial,
+        "columns": ["x", "y", "p"],
+        "rows": [[x, y, p] for x, y, p in reference_grid_rows(state)],
+    }
+    pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def assert_writers_match_reference(state, directory, coin="grover", initial="R"):
+    """Both writers against their references; returns the CSV text."""
+    directory = pathlib.Path(directory)
+    write_grid_csv(state, directory / "got.csv")
+    reference_grid_csv(state, directory / "want.csv")
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+    write_grid_json(state, directory / "got.json", coin=coin, initial=initial)
+    reference_grid_json(state, directory / "want.json", coin=coin, initial=initial)
+    assert (directory / "got.json").read_bytes() == (directory / "want.json").read_bytes()
+    return (directory / "got.csv").read_text()
+
+
+def test_writers_match_reference_on_pure_state(tmp_path):
+    assert_writers_match_reference(pure_state(3, "R"), tmp_path)
+
+
+def test_writers_match_reference_after_one_grover_step(tmp_path):
+    assert_writers_match_reference(step(pure_state(5, "R"), grover_coin()), tmp_path)
+
+
+def test_writers_match_reference_on_haar_walk(tmp_path):
+    rng = np.random.default_rng(7)
+    weights = rng.normal(size=4) + 1j * rng.normal(size=4)
+    spec = InitialSpec(*(weights / np.linalg.norm(weights)))
+    state = evolve(origin_superposition(21, spec), random_unitary_coin(5), 37)
+    text = assert_writers_match_reference(state, tmp_path, "random-5", spec.describe())
+    # full 17-digit values and exponent forms are both in the file
+    assert "e-" in text and any(len(line.split(",")[2]) >= 19 for line in text.split())
+
+
+def test_grid_json_escapes_labels_like_json(tmp_path):
+    state = step(pure_state(5, "R"), grover_coin())
+    tricky = 'say "hi" \\ caf\u00e9 \u2192 \n  "rows": 0,\n'
+    assert_writers_match_reference(state, tmp_path, tricky, tricky[::-1])
+    payload = json.loads((tmp_path / "got.json").read_text())
+    assert payload["coin"] == tricky and payload["initial"] == tricky[::-1]
+    assert (tmp_path / "got.json").read_bytes().isascii()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(0, 2**32 - 1),
+    st.integers(-160, 0),
+    st.integers(0, 150),
+    st.integers(0, 10**6),
+    st.text(max_size=8),
+)
+def test_writers_match_reference_on_random_amplitudes(
+    tmp_path_factory, n, seed, lowest, highest, t, label
+):
+    # |a|^2 spans 1e-320 (subnormal) to 1e300; some entries are exactly zero
+    rng = np.random.default_rng(seed)
+    shape = (n, n, 4)
+    decades = rng.integers(lowest, highest + 1, size=shape)
+    amplitudes = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** decades
+    amplitudes[rng.random(shape) < 0.2] = 0.0
+    state = WalkState(amplitudes, t, validate=False)
+    assert_writers_match_reference(state, tmp_path_factory.mktemp("grid"), label, label + "!")

@@ -358,6 +358,13 @@ def test_report_total_is_chirality_sum():
     assert report.total == pytest.approx(sum(report.per_chirality), abs=1e-12)
 
 
+@pytest.mark.parametrize("values", [[np.nan, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 1.5],
+                                    [-1e-6, 0.1, 0.1, 0.1]])
+def test_report_rejects_values_outside_unit_interval(values):
+    with pytest.raises(ConsistencyError, match="left"):
+        qwalk2d.timeavg._report("exact", "all", "grover", "R", 5, values)
+
+
 def test_consistency_error_is_exported():
     assert issubclass(ConsistencyError, RuntimeError)
 
