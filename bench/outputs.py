@@ -7,11 +7,15 @@ Run from the root of a source checkout: the program is imported from
 that checkout's `src/`, under the benchmark's BLAS thread counts.  Each
 job is one in-process `qwalk2d.cli.main(argv)` call.  The Haar `file:`
 coin and the `custom:` initial state come from `perfbench/inputs.py` at
-seed SEED.  OUT.json holds, per job, the exit code and the sha256 of its
-stdout and of the file it wrote (null when it wrote none), so two source
-trees print and write the same bytes exactly when their files are equal:
+seed SEED; the grover `file:` coin holds the diffusion matrix.  OUT.json
+holds, per job, the exit code and the sha256 of its stdout and of the
+file it wrote (null when it wrote none), so two source trees print and
+write the same bytes exactly when their files are equal:
 
     diff parent.json change.json
+
+The exit status is 1 when any job exited non-zero, after OUT.json is
+written.
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ from qwalk2d import cli  # noqa: E402
 SEED = 101
 COINS = ("grover", "a1", "a2", "a4:0.3", "haar")
 SIZES = (9, 21)
+PARITIES = ("all", "even", "odd")
+#: the diffusion coin as a `file:` coin: -1/2 on the diagonal, 1/2 elsewhere
+GROVER_ENTRIES = [[[-0.5 if i == j else 0.5, 0.0] for j in range(4)] for i in range(4)]
 
 
-def jobs(haar: str, custom: str):
+def jobs(haar: str, custom: str, grover_file: str):
     """(name, argv, output suffix or None) for every job, in a fixed order."""
     initials = {"R": "R", "custom": custom}
     for coin in COINS:
@@ -58,16 +65,35 @@ def jobs(haar: str, custom: str):
                                    ["simulate", "--coin", selector, "--n", str(n),
                                     "--steps", str(steps), "--initial", initial,
                                     "--backend", backend, "--format", fmt], fmt)
-                for parity in ("all", "even", "odd"):
+                for parity in PARITIES:
                     yield (f"timeavg-exact/{coin}/{init_name}/{parity}/N{n}",
                            ["timeavg", "--method", "exact", "--coin", selector, "--n", str(n),
                             "--initial", initial, "--parity", parity], "json")
             yield f"spectrum/{coin}/N{n}", ["spectrum", "--coin", selector, "--n", str(n)], "json"
             yield f"predict/{coin}/N{n}", ["predict", "--coin", selector, "--n", str(n)], None
+        yield f"spectrum-stdout/{coin}/N9", ["spectrum", "--coin", selector, "--n", "9"], None
+        for init_name, initial in initials.items():
+            yield (f"timeavg-empirical/{coin}/{init_name}/T64/N9",
+                   ["timeavg", "--method", "empirical", "--coin", selector, "--n", "9",
+                    "--initial", initial, "--samples", "64"], "json")
     for fmt in ("csv", "json"):
         yield (f"simulate/direct/a1/custom/N201/t200/{fmt}",
                ["simulate", "--coin", "a1", "--n", "201", "--steps", "200", "--initial", custom,
                 "--format", fmt], fmt)
+    for coin, selector in (("grover", "grover"), ("a4:0.5", "a4:0.5"),
+                           ("grover-file", grover_file)):
+        for parity in PARITIES:
+            for suffix in (None, "json"):
+                yield (f"timeavg-closed-form/{coin}/{parity}/N9/{suffix or 'stdout'}",
+                       ["timeavg", "--method", "closed-form", "--coin", selector, "--n", "9",
+                        "--initial", "R", "--parity", parity], suffix)
+    for init_name, initial in {"R": "R", "L": "L", "U": "U", "D": "D", "custom": custom}.items():
+        yield (f"timeavg-limit/{init_name}",
+               ["timeavg", "--method", "limit", "--initial", initial], "json")
+    for samples in (2, 201, 2001):
+        for suffix in (None, "csv"):
+            yield (f"scan-alpha/{samples}/{suffix or 'stdout'}",
+                   ["scan-alpha", "--samples", str(samples)], suffix)
 
 
 def sha256(data: bytes) -> str:
@@ -82,7 +108,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         inputs = generate(SEED, tmp, haar_sizes=SIZES)
-        for name, command, suffix in jobs(f"file:{inputs.haar_path}", inputs.custom):
+        grover_path = tmp / "grover.json"
+        grover_path.write_text(json.dumps(GROVER_ENTRIES))
+        for name, command, suffix in jobs(f"file:{inputs.haar_path}", inputs.custom,
+                                          f"file:{grover_path}"):
             out = tmp / f"out.{suffix}"
             out.unlink(missing_ok=True)
             stdout = io.StringIO()
@@ -98,7 +127,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     failed = sum(record["exit"] != 0 for record in records)
     print(f"{len(records)} jobs, {failed} non-zero exits; wrote {args.out}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -6,113 +6,20 @@ Direct unitary evolution and momentum-space spectral reconstruction of
 time-averaged origin probabilities, infinite-lattice limits, and a
 localization predictor built on eigenvalue degeneracy across momentum
 blocks.
+
+The public names are those of the five library modules' `__all__`.
 """
 
-from .coins import (
-    CHIRALITIES,
-    Coin,
-    a1_coin,
-    a2_coin,
-    chirality_index,
-    coin_from_json,
-    custom_coin,
-    grover_coin,
-    symmetric_family,
-    unitarity_residual,
-)
-from .evolve import evolve, step
-from .spectral import (
-    DegeneracyClass,
-    MomentumBlock,
-    OriginExpansion,
-    SpectralDecomposition,
-    SpectralError,
-    a1_eigenvalues,
-    build_block,
-    degeneracy_class,
-    evolve_spectral,
-    grover_eigenvalues,
-    grover_eigenvectors,
-    origin_coefficients,
-    origin_eigenvalue_amplitudes,
-)
-from .state import (
-    InitialSpec,
-    WalkState,
-    coords,
-    origin_superposition,
-    pure_state,
-    write_grid_csv,
-    write_grid_json,
-)
-from .timeavg import (
-    AlphaExtrema,
-    ConsistencyError,
-    IntegralConstants,
-    LocalizationReport,
-    TimeAverageReport,
-    alpha_extrema,
-    empirical_time_average,
-    exact_time_average,
-    grover_closed_form,
-    integral_constants,
-    limit_report,
-    limit_time_average,
-    localization_predictor,
-    scan_alpha,
-    write_report_json,
-    write_scan_csv,
-)
+# bound before the star imports, which rebind `evolve` to the function
+from . import coins as _coins, evolve as _evolve, spectral as _spectral
+from . import state as _state, timeavg as _timeavg
+from .coins import *  # noqa: F401,F403
+from .evolve import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .state import *  # noqa: F401,F403
+from .timeavg import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHIRALITIES",
-    "AlphaExtrema",
-    "Coin",
-    "ConsistencyError",
-    "DegeneracyClass",
-    "IntegralConstants",
-    "InitialSpec",
-    "LocalizationReport",
-    "MomentumBlock",
-    "OriginExpansion",
-    "SpectralDecomposition",
-    "SpectralError",
-    "TimeAverageReport",
-    "WalkState",
-    "a1_coin",
-    "a1_eigenvalues",
-    "a2_coin",
-    "alpha_extrema",
-    "build_block",
-    "chirality_index",
-    "coin_from_json",
-    "coords",
-    "custom_coin",
-    "degeneracy_class",
-    "empirical_time_average",
-    "evolve",
-    "evolve_spectral",
-    "exact_time_average",
-    "grover_closed_form",
-    "grover_coin",
-    "grover_eigenvalues",
-    "grover_eigenvectors",
-    "integral_constants",
-    "limit_report",
-    "limit_time_average",
-    "localization_predictor",
-    "origin_coefficients",
-    "origin_eigenvalue_amplitudes",
-    "origin_superposition",
-    "pure_state",
-    "scan_alpha",
-    "step",
-    "symmetric_family",
-    "unitarity_residual",
-    "write_grid_csv",
-    "write_grid_json",
-    "write_report_json",
-    "write_scan_csv",
-]
+__all__ = sorted({name for module in (_coins, _evolve, _spectral, _state, _timeavg)
+                  for name in module.__all__})

@@ -18,6 +18,7 @@ like `0.5+0.3i` or `0.5e^{i/3}`.  Exit codes: 0 success, 1 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -25,10 +26,11 @@ import sys
 import numpy as np
 
 from . import timeavg as ta
-from .coins import Coin, a1_coin, a2_coin, coin_from_json, grover_coin, symmetric_family
+from .coins import (CHIRALITIES, Coin, a1_coin, a2_coin, coin_from_json, grover_coin,
+                    symmetric_family)
 from .evolve import evolve
 from .spectral import SpectralDecomposition, SpectralError, evolve_spectral
-from .state import InitialSpec, origin_superposition, write_grid_csv, write_grid_json
+from .state import InitialSpec, _check_size, origin_superposition, write_grid_csv, write_grid_json
 
 __all__ = ["main", "parse_coin", "parse_complex", "parse_initial", "run"]
 
@@ -126,9 +128,10 @@ def parse_initial(text: str) -> InitialSpec:
 
 def _odd_size(value: str) -> int:
     size = int(value)
-    if size < 3 or size % 2 == 0:
-        raise argparse.ArgumentTypeError(f"lattice size must be odd and >= 3, got {size}")
-    return size
+    try:
+        return _check_size(size)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,37 +224,27 @@ def _cmd_timeavg(args) -> int:
     spec = parse_initial(args.initial)
     if args.method == "limit":
         report = ta.limit_report(spec)
-    elif args.method == "closed-form":
-        if args.coin != "grover" or spec.describe() != "R":
-            raise ValueError(
-                "the closed form covers the grover coin started in the pure R state"
-            )
-        if args.n is None:
-            raise ValueError("--n is required for the closed-form method")
-        value = ta.grover_closed_form(args.n, args.parity)
-        print(f"{value:.12g}")
-        if args.out:
-            report = ta.TimeAverageReport(
-                "closed-form", args.parity, "grover", "R", args.n, (value,), None
-            )
-            ta.write_report_json(report, args.out)
-        return 0
     else:
         coin = parse_coin(args.coin)
         if args.n is None:
             raise ValueError(f"--n is required for the {args.method} method")
-        if args.method == "empirical":
+        if args.method == "closed-form":
+            report = ta.closed_form_report(coin, spec, args.n, args.parity)
+        elif args.method == "empirical":
             state = origin_superposition(args.n, spec)
             report = ta.empirical_time_average(
                 state, coin, args.samples, parity=args.parity
             )
         else:
             report = ta.exact_time_average(coin, spec, args.n, parity=args.parity)
-    for name, value in zip("RLUD", report.per_chirality):
-        print(f"{name}: {value:.12g}")
-    print(f"total: {report.total:.12g}")
+    if report.total is None:
+        print(f"{report.per_chirality[0]:.12g}")
+    else:
+        for name, value in zip(CHIRALITIES, report.per_chirality):
+            print(f"{name}: {value:.12g}")
+        print(f"total: {report.total:.12g}")
     if args.out:
-        ta.write_report_json(report, args.out)
+        ta.write_report_json(dataclasses.replace(report, initial=args.initial), args.out)
     return 0
 
 

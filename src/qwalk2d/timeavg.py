@@ -40,11 +40,12 @@ from .coins import CHIRALITIES, Coin, chirality_index
 from .evolve import check_norm, trajectory
 from .spectral import (
     SpectralDecomposition,
+    _is_grover,
     cluster_labels,
     origin_eigenvalue_amplitudes,
     sum_by_label,
 )
-from .state import ConsistencyError, InitialSpec, WalkState
+from .state import ConsistencyError, InitialSpec, WalkState, _check_size
 
 __all__ = [
     "AlphaExtrema",
@@ -53,6 +54,7 @@ __all__ = [
     "LocalizationReport",
     "TimeAverageReport",
     "alpha_extrema",
+    "closed_form_report",
     "empirical_time_average",
     "exact_time_average",
     "grover_closed_form",
@@ -166,26 +168,15 @@ def empirical_time_average(
     check_norm(amplitudes, initial.norm_sq(), coin, horizon - 1)
     values = acc / len(times)
     return _report(
-        "empirical", parity, coin.label, _initial_label(initial), initial.n,
+        "empirical", parity, coin.label, "state", initial.n,
         values, samples=horizon, site=(x, y),
     )
-
-
-def _initial_label(state: WalkState) -> str:
-    weights = state.amplitudes[0, 0]
-    if abs(float((np.abs(weights) ** 2).sum()) - 1.0) < 1e-9:
-        try:
-            return InitialSpec(*weights).describe()
-        except ValueError:
-            pass
-    return "state"
 
 
 def exact_time_average(
     coin: Coin,
     initial: InitialSpec,
     size: int,
-    site: tuple[int, int] = (0, 0),
     parity: str = "all",
 ) -> TimeAverageReport:
     """
@@ -193,12 +184,10 @@ def exact_time_average(
     expansion of the origin amplitude.
 
     Works for any unitary coin; eigenvalue grouping across momentum
-    blocks is numeric (tolerance 1e-9).  Only the origin is supported:
-    the coefficient algebra assumes an origin-localized initial state.
+    blocks is numeric (tolerance 1e-9).  The coefficient algebra assumes
+    an origin-localized initial state, so the origin is the only site.
     """
     _check_parity(parity)
-    if tuple(site) != (0, 0):
-        raise ValueError("exact averages are available at the origin only")
     merged = origin_eigenvalue_amplitudes(coin, initial, size)
     values = np.array([value for value, _ in merged])
     amps = np.array([amp for _, amp in merged])
@@ -223,9 +212,7 @@ def grover_closed_form(size: int, parity: str = "all") -> float:
     The three satisfy all = (even + odd)/2 identically, and the all-time
     value decreases monotonically to 1/8 as N grows.
     """
-    size = int(size)
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"lattice size must be an odd integer >= 3, got {size}")
+    size = _check_size(size)
     _check_parity(parity)
     n2 = size ** 2
     n3 = size ** 3
@@ -248,12 +235,20 @@ _SELF_COEFF = 1.0 / (2.0 * math.sqrt(2.0))
 _OPPOSITE_COEFF = -math.sqrt(0.125 + 2.0 / math.pi ** 2 - 1.0 / math.pi)
 _TRANSVERSE_COEFF = math.sqrt(0.125 + 0.5 / math.pi ** 2 - 0.5 / math.pi)
 
-_LIMIT_PERMUTATIONS = {
-    0: (0, 1, 2, 3),  # R
-    1: (1, 0, 2, 3),  # L
-    2: (2, 3, 0, 1),  # U
-    3: (3, 2, 0, 1),  # D
-}
+# Row c orders the weights as (self, opposite, transverse, transverse) for chirality c.
+_LIMIT_PERMUTATIONS = np.array([
+    (0, 1, 2, 3),  # R
+    (1, 0, 2, 3),  # L
+    (2, 3, 0, 1),  # U
+    (3, 2, 0, 1),  # D
+])
+
+
+def _limit_amplitudes(weights) -> np.ndarray:
+    """Infinite-lattice origin amplitudes, per chirality, of weights of shape (..., 4)."""
+    w = np.asarray(weights)[..., _LIMIT_PERMUTATIONS]
+    return (_SELF_COEFF * w[..., 0] + _OPPOSITE_COEFF * w[..., 1]
+            + _TRANSVERSE_COEFF * (w[..., 2] + w[..., 3]))
 
 
 def limit_time_average(initial: InitialSpec, chirality) -> float:
@@ -261,16 +256,28 @@ def limit_time_average(initial: InitialSpec, chirality) -> float:
     Infinite-lattice time-averaged probability of one chirality at the
     origin for an origin-localized initial state.
     """
-    idx = chirality_index(chirality)
-    w = initial.weights[list(_LIMIT_PERMUTATIONS[idx])]
-    amp = _SELF_COEFF * w[0] + _OPPOSITE_COEFF * w[1] + _TRANSVERSE_COEFF * (w[2] + w[3])
-    return float(abs(amp) ** 2)
+    return float(abs(_limit_amplitudes(initial.weights)[chirality_index(chirality)]) ** 2)
 
 
 def limit_report(initial: InitialSpec) -> TimeAverageReport:
     """All four chirality limits plus their sum, as a report."""
-    values = [limit_time_average(initial, c) for c in range(4)]
+    # abs() on each scalar, as in limit_time_average: np.abs over the array moves last bits
+    values = [float(abs(amp) ** 2) for amp in _limit_amplitudes(initial.weights)]
     return _report("limit", "all", "grover", initial.describe(), None, values)
+
+
+def closed_form_report(
+    coin: Coin, initial: InitialSpec, size: int, parity: str = "all"
+) -> TimeAverageReport:
+    """
+    `grover_closed_form` as a report covering chirality R alone, with
+    `total` None.  Raises ValueError unless the coin equals the diffusion
+    coin and the walk starts in the pure R state.
+    """
+    if not _is_grover(coin) or initial.describe() != "R":
+        raise ValueError("the closed form covers the grover coin started in the pure R state")
+    value = grover_closed_form(size, parity)
+    return TimeAverageReport("closed-form", parity, coin.label, "R", int(size), (value,), None)
 
 
 AlphaExtrema = namedtuple("AlphaExtrema", ["alpha_min", "alpha_max"])
@@ -303,9 +310,9 @@ def scan_alpha(samples: int) -> np.ndarray:
         raise ValueError(f"samples must be >= 2, got {samples}")
     alphas = np.linspace(-1.0, 1.0, samples)
     betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, None))
-    amp_r = _SELF_COEFF * alphas + _OPPOSITE_COEFF * betas
-    amp_l = _SELF_COEFF * betas + _OPPOSITE_COEFF * alphas
-    return np.column_stack([alphas, amp_r ** 2, amp_l ** 2])
+    zeros = np.zeros(samples)
+    amps = _limit_amplitudes(np.column_stack([alphas, betas, zeros, zeros]))
+    return np.column_stack([alphas, amps[:, :2] ** 2])
 
 
 def write_scan_csv(path, samples: int) -> None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qwalk2d import cli
+from qwalk2d import cli, grover_coin
 
 
 def test_parse_complex_cartesian():
@@ -188,10 +188,35 @@ def test_timeavg_closed_form_report_schema(tmp_path, capsys):
 
 
 def test_timeavg_closed_form_guard():
-    assert cli.main(
-        ["timeavg", "--coin", "a1", "--n", "5", "--initial", "R",
-         "--method", "closed-form"]
-    ) == 2
+    argv = ["timeavg", "--n", "5", "--method", "closed-form"]
+    assert cli.main(argv + ["--coin", "a1", "--initial", "R"]) == 2
+    assert cli.main(argv + ["--coin", "grover", "--initial", "custom:0.6,0.8,0,0"]) == 2
+
+
+@pytest.mark.parametrize("selector", ["a4:0.5", "file"])
+def test_timeavg_closed_form_accepts_coins_equal_to_grover(selector, tmp_path, capsys):
+    if selector == "file":
+        path = tmp_path / "grover.json"
+        path.write_text(json.dumps([[[v.real, v.imag] for v in row]
+                                    for row in grover_coin().entries.tolist()]))
+        selector = f"file:{path}"
+    argv = ["timeavg", "--n", "9", "--initial", "R", "--method", "closed-form"]
+    assert cli.main(argv + ["--coin", "grover"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(argv + ["--coin", selector]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("method", ["exact", "empirical", "limit"])
+def test_timeavg_file_records_initial_as_typed(method, tmp_path):
+    literal = "custom:0.5+0.5i,0.5,0.5i,0.4e^{i pi/3}"
+    grid, report = tmp_path / "grid.json", tmp_path / "report.json"
+    assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "1",
+                     "--initial", literal, "--format", "json", "--out", str(grid)]) == 0
+    assert cli.main(["timeavg", "--coin", "grover", "--n", "5", "--initial", literal,
+                     "--method", method, "--samples", "8", "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["initial"] == literal
+    assert json.loads(grid.read_text())["initial"] == literal
 
 
 def test_timeavg_exact_report(tmp_path, capsys):

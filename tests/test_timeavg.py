@@ -16,6 +16,7 @@ from qwalk2d import (
     a1_coin,
     a2_coin,
     alpha_extrema,
+    closed_form_report,
     custom_coin,
     empirical_time_average,
     exact_time_average,
@@ -55,6 +56,16 @@ def test_closed_form_parity_identity(size):
     even = grover_closed_form(size, "even")
     odd = grover_closed_form(size, "odd")
     assert grover_closed_form(size, "all") == pytest.approx((even + odd) / 2, abs=1e-15)
+
+
+def test_closed_form_report_needs_grover_from_r():
+    report = closed_form_report(symmetric_family(0.5), PURE_R, 9, "even")
+    assert report.per_chirality == (grover_closed_form(9, "even"),)
+    assert report.total is None and report.as_dict()["per_chirality"].keys() == {"R"}
+    with pytest.raises(ValueError, match="grover coin"):
+        closed_form_report(a1_coin(), PURE_R, 9)
+    with pytest.raises(ValueError, match="pure R"):
+        closed_form_report(grover_coin(), InitialSpec.pure("L"), 9)
 
 
 def test_closed_form_rejects_even_size():
@@ -104,16 +115,12 @@ def test_exact_parity_average_identity_random_coin_and_weights(seed, size):
     assert np.abs(full - (even + odd) / 2).max() < 1e-12
 
 
-def test_exact_rejects_non_origin_site():
-    with pytest.raises(ValueError, match="origin"):
-        exact_time_average(grover_coin(), PURE_R, 5, site=(1, 0))
-
-
 def test_empirical_single_sample_is_initial_probability():
     report = empirical_time_average(origin_superposition(5, PURE_R), grover_coin(), 1)
     assert report.per_chirality[0] == 1.0
     assert report.total == 1.0
     assert report.samples == 1
+    assert report.initial == "state"  # a state carries no selector text
 
 
 def test_empirical_identity_coin_hand_values():
@@ -262,6 +269,18 @@ def test_scan_alpha_table():
         assert p_l == pytest.approx(
             limit_time_average(InitialSpec(beta, alpha, 0, 0), "R"), abs=1e-14
         )
+
+
+@pytest.mark.parametrize("samples", [2, 201, 2001])
+def test_scan_rows_equal_limit_time_average(samples):
+    rows = scan_alpha(samples)
+    betas = np.sqrt(np.clip(1.0 - rows[:, 0] ** 2, 0.0, None))
+    for (alpha, p_r, p_l), beta in zip(rows, betas):
+        spec = InitialSpec(alpha, beta, 0, 0)
+        want = np.array([limit_time_average(spec, "R"), limit_time_average(spec, "L")])
+        # the scan squares arrays (x * x, correctly rounded) where the scalar `** 2` calls
+        # pow, which can land one ulp away when x^2 sits next to a rounding tie
+        assert np.all(np.abs(np.array([p_r, p_l]) - want) <= np.spacing(want))
 
 
 def test_scan_alpha_rejects_tiny_sample_count():
