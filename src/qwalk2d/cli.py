@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 
@@ -210,7 +209,7 @@ def _cmd_spectrum(args) -> int:
     if args.out:
         decomposition.write_json(args.out)
     else:
-        print(json.dumps(decomposition.to_payload(), indent=2, sort_keys=True))
+        print(decomposition.to_json(), end="")
     return 0
 
 
@@ -222,10 +221,10 @@ def _format_value(value: complex) -> str:
 
 def _cmd_timeavg(args) -> int:
     spec = parse_initial(args.initial)
+    coin = parse_coin(args.coin)
     if args.method == "limit":
-        report = ta.limit_report(spec)
+        report = ta.limit_report(coin, spec)
     else:
-        coin = parse_coin(args.coin)
         if args.n is None:
             raise ValueError(f"--n is required for the {args.method} method")
         if args.method == "closed-form":
@@ -252,10 +251,7 @@ def _cmd_scan_alpha(args) -> int:
     if args.out:
         ta.write_scan_csv(args.out, args.samples)
     else:
-        rows = ta.scan_alpha(args.samples)
-        print("alpha,p_R,p_L")
-        for alpha, p_r, p_l in rows:
-            print(f"{alpha:.17g},{p_r:.17g},{p_l:.17g}")
+        print(ta.scan_csv(args.samples), end="")
     return 0
 
 

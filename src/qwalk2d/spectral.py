@@ -419,11 +419,11 @@ class SpectralDecomposition:
             ],
         }
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+
     def write_json(self, path) -> None:
-        payload = self.to_payload()
-        pathlib.Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        pathlib.Path(path).write_text(self.to_json())
 
 
 # ---------------------------------------------------------------------------

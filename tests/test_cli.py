@@ -238,6 +238,19 @@ def test_timeavg_limit_method(capsys):
     assert float(lines[0].split(":")[1]) == pytest.approx(0.125, abs=1e-12)
 
 
+@pytest.mark.parametrize("coin", ["a1", "nonsense"])
+def test_timeavg_limit_refuses_other_coins(coin, capsys):
+    assert cli.main(["timeavg", "--method", "limit", "--coin", coin]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_timeavg_limit_accepts_coins_equal_to_grover(capsys):
+    assert cli.main(["timeavg", "--method", "limit"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["timeavg", "--method", "limit", "--coin", "a4:0.5"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_timeavg_empirical_small_horizon(capsys):
     code = cli.main(
         ["timeavg", "--coin", "grover", "--n", "5", "--initial", "R",

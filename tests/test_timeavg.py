@@ -167,7 +167,7 @@ def test_limit_values_for_pure_r():
         assert limit_time_average(PURE_R, c) == pytest.approx(
             1 / 8 + 1 / (2 * pi ** 2) - 1 / (2 * pi), abs=1e-15
         )
-    report = limit_report(PURE_R)
+    report = limit_report(grover_coin(), PURE_R)
     assert report.total == pytest.approx(1 / 2 + 3 / pi ** 2 - 2 / pi, abs=1e-14)
     assert report.size is None
 
@@ -200,7 +200,7 @@ def test_delocalizing_family_limits_vanish(theta):
 def test_uniform_state_maximizes_summed_limit():
     spec = InitialSpec(0.5, 0.5, 0.5, 0.5)
     maximum = 2 + 8 / math.pi ** 2 - 8 / math.pi
-    assert limit_report(spec).total == pytest.approx(maximum, abs=1e-14)
+    assert limit_report(grover_coin(), spec).total == pytest.approx(maximum, abs=1e-14)
 
 
 @settings(deadline=None, max_examples=60)
@@ -212,7 +212,7 @@ def test_summed_limit_never_exceeds_uniform_maximum(raw):
         return
     spec = InitialSpec(*(vec / norm))
     maximum = 2 + 8 / math.pi ** 2 - 8 / math.pi
-    assert limit_report(spec).total <= maximum + 1e-12
+    assert limit_report(grover_coin(), spec).total <= maximum + 1e-12
 
 
 def test_uniform_state_even_time_average_exceeds_half():
@@ -341,6 +341,25 @@ def test_integral_constants_closed_forms():
     assert constants.i2 == pytest.approx(0.09085, abs=1e-5)
 
 
+@pytest.mark.parametrize("name,factor", [("_integrand_opposite", 1 + 1e-9),
+                                         ("_integrand_transverse", 1 + 1e-9),
+                                         ("_integrand_opposite", math.nan)])
+def test_integral_constants_quadrature_check_is_tight(monkeypatch, name, factor):
+    # a relative shift of 1e-9 moves a quadrature value by 7e-11 or 9e-11
+    integrand = getattr(qwalk2d.timeavg, name)
+    monkeypatch.setattr(qwalk2d.timeavg, name, lambda x, y: factor * integrand(x, y))
+    with pytest.raises(ConsistencyError, match="quadrature"):
+        integral_constants()
+
+
+def test_limit_coefficients_are_the_checked_constants():
+    i1, i2 = integral_constants()
+    root2 = math.sqrt(2)
+    assert qwalk2d.timeavg._SELF_COEFF == pytest.approx(root2 / 4, abs=1e-15)
+    assert qwalk2d.timeavg._OPPOSITE_COEFF == pytest.approx(root2 * i1, abs=1e-15)
+    assert qwalk2d.timeavg._TRANSVERSE_COEFF == pytest.approx(root2 * i2, abs=1e-15)
+
+
 def test_lattice_sums_approach_integral_constant():
     # Riemann sums of the opposite-chirality coefficient over the momentum
     # triangle approach i1 from above as the lattice grows
@@ -389,10 +408,11 @@ def test_consistency_error_is_exported():
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # scipy is needed only by the quadrature cross-check in integral_constants
+    # numpy is the only runtime dependency, the quadrature cross-check included
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qwalk2d.__file__).parents[1]))
+    code = "import sys, qwalk2d; qwalk2d.integral_constants(); print('scipy' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, qwalk2d; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env=env,
     )
     assert result.stdout.strip() == "False"
