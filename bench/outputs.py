@@ -76,10 +76,15 @@ def jobs(haar: str, custom: str, grover_file: str):
             yield (f"timeavg-empirical/{coin}/{init_name}/T64/N9",
                    ["timeavg", "--method", "empirical", "--coin", selector, "--n", "9",
                     "--initial", initial, "--samples", "64"], "json")
-    for fmt in ("csv", "json"):
-        yield (f"simulate/direct/a1/custom/N201/t200/{fmt}",
-               ["simulate", "--coin", "a1", "--n", "201", "--steps", "200", "--initial", custom,
-                "--format", fmt], fmt)
+    # the lattice-evolution benchmark's direct-evolution jobs
+    for coin, init_name, initial in (("a1", "custom", custom), ("grover", "R", "R")):
+        for fmt in ("csv", "json"):
+            yield (f"simulate/direct/{coin}/{init_name}/N201/t200/{fmt}",
+                   ["simulate", "--coin", coin, "--n", "201", "--steps", "200",
+                    "--initial", initial, "--format", fmt], fmt)
+    yield ("timeavg-empirical/grover/R/T20000/N21",
+           ["timeavg", "--method", "empirical", "--coin", "grover", "--n", "21",
+            "--initial", "R", "--samples", "20000"], "json")
     for coin, selector in (("grover", "grover"), ("a4:0.5", "a4:0.5"),
                            ("grover-file", grover_file)):
         for parity in PARITIES:

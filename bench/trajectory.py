@@ -1,6 +1,8 @@
 """
-The timed paths of `perfbench/scaling.py` plus two long direct
-trajectories, written with the host description to one BENCH_<seq>.json.
+The timed paths of `perfbench/scaling.py`, direct evolution to t = N
+under the a1 coin and a Haar coin at scaling's lattice sizes, and two
+long direct trajectories, written with the host description to one
+BENCH_<seq>.json.
 
     python3 bench/trajectory.py SEQ --label TEXT
 
@@ -9,7 +11,8 @@ the program from that checkout's `src/` and holds BLAS to the
 benchmark's thread counts.  Each size is timed by its `_time` (median of
 three calls, one call above 1 s); the exponent is its `slope`, the
 least-squares slope of log(time) against log(N), and null for a path
-timed at one size.  The file lands next to this script.
+timed at one size.  The Haar coin is `perfbench/inputs.py`'s
+`haar_unitary` at seed 101.  The file lands next to this script.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 # scaling sets the thread environment before numpy loads, so it comes first
 from scaling import ROOT, THREADS, _paths, _time, qw, slope  # noqa: E402
 
+from inputs import haar_unitary  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
@@ -35,9 +39,13 @@ import scipy  # noqa: E402
 HORIZON = 20000
 
 
-def trajectory_paths():
-    grover, pure_r = qw.grover_coin(), qw.InitialSpec.pure("R")
+def trajectory_paths(lattice):
+    """`lattice`: the sizes at which scaling times evolve(grover, t=N)."""
+    grover, a1, pure_r = qw.grover_coin(), qw.a1_coin(), qw.InitialSpec.pure("R")
+    haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
     return [
+        ("evolve(a1, t=N)", lattice, lambda n: qw.evolve(qw.pure_state(n, "R"), a1, n)),
+        ("evolve(haar, t=N)", lattice, lambda n: qw.evolve(qw.pure_state(n, "R"), haar, n)),
         (f"evolve(grover, t={HORIZON})", (21,),
          lambda n: qw.evolve(qw.pure_state(n, "R"), grover, HORIZON)),
         (f"empirical_time_average(grover, R, T={HORIZON})", (11, 21, 31),
@@ -52,7 +60,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     paths = []
     with tempfile.TemporaryDirectory(dir=ROOT) as tmp:
-        for name, sizes, fn in _paths(pathlib.Path(tmp)) + trajectory_paths():
+        scaling_paths = _paths(pathlib.Path(tmp))
+        lattice = next(sizes for name, sizes, _ in scaling_paths if name == "evolve(grover, t=N)")
+        for name, sizes, fn in scaling_paths + trajectory_paths(lattice):
             times = [_time(fn, n) for n in sizes]
             exponent = slope(sizes, times) if len(sizes) > 1 else None
             paths.append({"path": name, "median_s": dict(zip(map(str, sizes), times)),

@@ -7,7 +7,11 @@ R moves +x, L moves -x, U moves +y, D moves -y.  Each call allocates two
 (N, N, 4) buffers and one gather index and reuses them for every step:
 the coin is one matrix product from the state buffer into the mixing
 buffer, and the shift gathers the mixing buffer back through the index,
-so it never reads the buffer it writes.
+so it never reads the buffer it writes.  A real coin (every paper coin)
+multiplies float64 views of the buffers, rows (re0, im0, ..., re3, im3),
+by the real 8 x 8 matrix kron(C^T, I2): the complex product's bits at
+half its arithmetic.  A complex coin keeps the complex product, since
+its real 8 x 8 form differs from it by up to one ulp.
 """
 
 from __future__ import annotations
@@ -41,14 +45,19 @@ def trajectory(state: WalkState, coin: Coin):
     index *= 4
     index += np.arange(4)
     flat, mixed_flat, index = amplitudes.reshape(-1), mixed.reshape(-1), index.reshape(-1)
-    gate = coin.entries.T
+    source, target, gate = amplitudes, mixed, coin.entries.T
+    if coin.is_real:
+        # rows (re0, im0, ..., re3, im3) times kron(C^T, I2): bit-identical to the complex
+        # product at half its arithmetic; a complex coin's real form moves last bits (1 ulp)
+        source, target = amplitudes.view(np.float64), mixed.view(np.float64)
+        gate = np.kron(gate.real, np.eye(2))
     while True:
         yield amplitudes
-        # N stacked (N, 4) @ (4, 4) products: one (N^2, 4) product is large enough
-        # for OpenBLAS to go multithreaded, which stalled for milliseconds per call
-        np.matmul(amplitudes, gate, out=mixed)
+        # N stacked (N, 4) @ (4, 4) products (8 x 8 real): one (N^2, 4) product is large
+        # enough for OpenBLAS to go multithreaded, which stalled for milliseconds per call
+        np.matmul(source, gate, out=target)
         # every index is in range; "wrap" only spares take() the output copy "raise" makes
-        np.take(mixed_flat, index, out=flat, mode="wrap")
+        mixed_flat.take(index, out=flat, mode="wrap")
 
 
 def check_norm(amplitudes: np.ndarray, start_norm_sq: float, coin: Coin, steps: int) -> None:

@@ -7,6 +7,7 @@ from qwalk2d import (
     ConsistencyError,
     WalkState,
     a1_coin,
+    a2_coin,
     custom_coin,
     empirical_time_average,
     evolve,
@@ -44,7 +45,26 @@ def random_state(n, seed):
     return WalkState(amplitudes / np.sqrt((np.abs(amplitudes) ** 2).sum()), 3)
 
 
-KERNEL_COINS = [random_unitary_coin(101), grover_coin(), a1_coin()]
+def random_orthogonal_coin(seed: int):
+    """A real coin passed to `custom_coin` as a complex array with every imaginary part 0."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    return custom_coin(q + 0j, label=f"orthogonal-{seed}")
+
+
+# real coins take the stepper's real (8, 8) product, complex ones the complex (4, 4) product
+KERNEL_COINS = [
+    random_unitary_coin(101),
+    grover_coin(),
+    a1_coin(),
+    a2_coin(),
+    symmetric_family(0.3),
+    random_orthogonal_coin(5),
+    custom_coin(grover_coin().entries * np.exp(1e-9j), label="grover-phase-1e-9"),
+]
+
+
+def test_kernel_coins_cover_both_coin_products():
+    assert [coin.is_real for coin in KERNEL_COINS] == [False, True, True, True, True, True, False]
 
 
 @pytest.mark.parametrize("coin", KERNEL_COINS, ids=lambda c: c.label)
@@ -77,14 +97,28 @@ def reference_empirical(initial, coin, horizon, site, parity):
     return tuple(acc / count)
 
 
-@pytest.mark.parametrize("parity", ["all", "even", "odd"])
-@pytest.mark.parametrize("horizon", [2, 41, 60])
-def test_empirical_equals_per_step_reference_bit_for_bit(parity, horizon):
-    coin, initial = random_unitary_coin(7), random_state(5, seed=11)
+def assert_empirical_equals_reference(coin, parity, horizon):
+    initial = random_state(5, seed=11)
     before = initial.amplitudes.copy()
     report = empirical_time_average(initial, coin, horizon, site=(1, -2), parity=parity)
     assert report.per_chirality == reference_empirical(initial, coin, horizon, (1, -2), parity)
     assert np.array_equal(initial.amplitudes, before) and initial.t == 3
+
+
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("horizon", [2, 41, 60])
+def test_empirical_equals_per_step_reference_bit_for_bit(parity, horizon):
+    coin = random_unitary_coin(7)
+    assert not coin.is_real
+    assert_empirical_equals_reference(coin, parity, horizon)
+
+
+@pytest.mark.parametrize("coin", [grover_coin(), a2_coin()], ids=lambda c: c.label)
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("horizon", [2, 41, 60])
+def test_empirical_real_coin_equals_per_step_reference_bit_for_bit(coin, parity, horizon):
+    assert coin.is_real
+    assert_empirical_equals_reference(coin, parity, horizon)
 
 
 def test_planted_non_unitary_coin_raises_consistency_error():
