@@ -1,18 +1,19 @@
 """
 The timed paths of `perfbench/scaling.py`, direct evolution to t = N
-under the a1 coin and a Haar coin at scaling's lattice sizes, and two
-long direct trajectories, written with the host description to one
-BENCH_<seq>.json.
+under the a1 coin and a Haar coin at scaling's lattice sizes, two long
+direct trajectories and two spectral propagations, written with the host
+description to one BENCH_<seq>.json.
 
     python3 bench/trajectory.py SEQ --label TEXT
 
 Run from the root of a source checkout: `perfbench/scaling.py` imports
 the program from that checkout's `src/` and holds BLAS to the
-benchmark's thread counts.  Each size is timed by its `_time` (median of
-three calls, one call above 1 s); the exponent is its `slope`, the
-least-squares slope of log(time) against log(N), and null for a path
-timed at one size.  The Haar coin is `perfbench/inputs.py`'s
-`haar_unitary` at seed 101.  The file lands next to this script.
+benchmark's thread counts.  Each size gets one warm-up call and then
+CALLS timed calls, recorded as their median and quartiles; the exponent
+is scaling's `slope`, the least-squares slope of log(median) against
+log(N), and null for a path timed at one size.  The Haar coin is
+`perfbench/inputs.py`'s `haar_unitary` at seed 101.  The file lands next
+to this script.
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import sys
 import tempfile
+import time
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 # scaling sets the thread environment before numpy loads, so it comes first
-from scaling import ROOT, THREADS, _paths, _time, qw, slope  # noqa: E402
+from scaling import ROOT, THREADS, _paths, qw, slope  # noqa: E402
 
 from inputs import haar_unitary  # noqa: E402
 import numpy as np  # noqa: E402
@@ -37,6 +40,10 @@ import scipy  # noqa: E402
 
 #: Steps of each trajectory: the horizon of the benchmark's empirical average.
 HORIZON = 20000
+#: Steps of the long spectral propagation.
+SPECTRAL_STEPS = 100000
+#: Timed calls per size, after one untimed warm-up call.
+CALLS = 7
 
 
 def trajectory_paths(lattice):
@@ -50,7 +57,23 @@ def trajectory_paths(lattice):
          lambda n: qw.evolve(qw.pure_state(n, "R"), grover, HORIZON)),
         (f"empirical_time_average(grover, R, T={HORIZON})", (11, 21, 31),
          lambda n: qw.empirical_time_average(qw.origin_superposition(n, pure_r), grover, HORIZON)),
+        ("evolve_spectral(haar, t=N)", (51, 101, 201),
+         lambda n: qw.evolve_spectral(qw.pure_state(n, "R"), haar, n)),
+        (f"evolve_spectral(grover, t={SPECTRAL_STEPS})", (51, 101, 201),
+         lambda n: qw.evolve_spectral(qw.pure_state(n, "R"), grover, SPECTRAL_STEPS)),
     ]
+
+
+def timed(fn, n):
+    """Median, first and third quartile of CALLS calls of fn(n), after one warm-up call."""
+    fn(n)
+    samples = []
+    for _ in range(CALLS):
+        start = time.perf_counter()
+        fn(n)
+        samples.append(time.perf_counter() - start)
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return statistics.median(samples), q1, q3
 
 
 def main(argv=None) -> int:
@@ -63,9 +86,11 @@ def main(argv=None) -> int:
         scaling_paths = _paths(pathlib.Path(tmp))
         lattice = next(sizes for name, sizes, _ in scaling_paths if name == "evolve(grover, t=N)")
         for name, sizes, fn in scaling_paths + trajectory_paths(lattice):
-            times = [_time(fn, n) for n in sizes]
+            times, q1, q3 = zip(*(timed(fn, n) for n in sizes))
             exponent = slope(sizes, times) if len(sizes) > 1 else None
-            paths.append({"path": name, "median_s": dict(zip(map(str, sizes), times)),
+            keys = list(map(str, sizes))
+            paths.append({"path": name, "median_s": dict(zip(keys, times)),
+                          "quartiles_s": {key: [lo, hi] for key, lo, hi in zip(keys, q1, q3)},
                           "exponent": exponent})
             cells = "  ".join(f"N={n}: {t:.3g}s" for n, t in zip(sizes, times))
             fitted = "-" if exponent is None else f"{exponent:.2f}"
@@ -75,6 +100,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, "scipy": scipy.__version__, "threads": THREADS},
+        "calls_per_size": CALLS,
         "paths": paths,
     }
     out = HERE / f"BENCH_{args.seq}.json"

@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 PARITIES = ("all", "even", "odd")
+#: Kept steps whose site amplitudes `empirical_time_average` buffers before
+#: folding their probabilities into the running sums.
+FOLD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,20 @@ def empirical_time_average(
         raise ValueError(f"no {parity} time below the horizon T = {horizon}")
     x, y = site
     ix, iy = initial._site(int(x), int(y))
-    acc = np.zeros(4)
-    for amplitudes in islice(trajectory(initial, coin), times.start, horizon, times.step):
-        acc += np.abs(amplitudes[ix, iy]) ** 2
+    steps = islice(trajectory(initial, coin), times.start, horizon, times.step)
+    buffer = np.empty((min(len(times), FOLD_ROWS), 4), dtype=np.complex128)
+    total = np.zeros(4)
+    for start in range(0, len(times), len(buffer)):
+        rows = buffer[: len(times) - start]
+        for row, amplitudes in zip(rows, steps):
+            row[...] = amplitudes[ix, iy]
+        # cumsum adds row by row, so with the running total in its first row
+        # the sums keep the bits of adding one step at a time
+        probabilities = np.abs(rows) ** 2
+        probabilities[0] += total
+        total = np.cumsum(probabilities, axis=0)[-1]
     check_norm(amplitudes, initial.norm_sq(), coin, horizon - 1)
-    values = acc / len(times)
+    values = total / len(times)
     return _report(
         "empirical", parity, coin.label, "state", initial.n,
         values, samples=horizon, site=(x, y),

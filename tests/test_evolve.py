@@ -105,8 +105,12 @@ def assert_empirical_equals_reference(coin, parity, horizon):
     assert np.array_equal(initial.amplitudes, before) and initial.t == 3
 
 
+# the last three fill the fold buffer exactly, pass it by one and wrap it twice
+HORIZONS = [2, 41, 60, timeavg.FOLD_ROWS, timeavg.FOLD_ROWS + 1, 2 * timeavg.FOLD_ROWS + 1]
+
+
 @pytest.mark.parametrize("parity", ["all", "even", "odd"])
-@pytest.mark.parametrize("horizon", [2, 41, 60])
+@pytest.mark.parametrize("horizon", HORIZONS)
 def test_empirical_equals_per_step_reference_bit_for_bit(parity, horizon):
     coin = random_unitary_coin(7)
     assert not coin.is_real
@@ -115,7 +119,7 @@ def test_empirical_equals_per_step_reference_bit_for_bit(parity, horizon):
 
 @pytest.mark.parametrize("coin", [grover_coin(), a2_coin()], ids=lambda c: c.label)
 @pytest.mark.parametrize("parity", ["all", "even", "odd"])
-@pytest.mark.parametrize("horizon", [2, 41, 60])
+@pytest.mark.parametrize("horizon", HORIZONS)
 def test_empirical_real_coin_equals_per_step_reference_bit_for_bit(coin, parity, horizon):
     assert coin.is_real
     assert_empirical_equals_reference(coin, parity, horizon)

@@ -74,6 +74,18 @@ def test_momentum_phases_order():
     assert phases[3] == pytest.approx(w ** 2)
 
 
+@pytest.mark.parametrize("size", [3, 9, 51, 201])
+def test_momentum_phases_bit_identical_to_power_formula(size):
+    w = np.exp(2j * np.pi / size)
+    n, m = np.indices((size, size))
+    formula = np.stack([w ** -n, w ** n, w ** -m, w ** m], axis=-1).view(np.uint64)
+    assert np.array_equal(momentum_phases(n, m, size).view(np.uint64), formula)
+    # out-of-range momenta are reduced mod N before the table lookup
+    shifted = momentum_phases(n - size, m + 2 * size, size)
+    assert np.array_equal(shifted.view(np.uint64), formula)
+    assert np.array_equal(momentum_phases(1, -1, size).view(np.uint64), formula[1, size - 1])
+
+
 @pytest.mark.parametrize(
     "coin", [grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.7)]
 )
@@ -745,6 +757,22 @@ def test_evolve_spectral_matches_evolve_for_random_coin_and_state(seed, case):
     initial = WalkState(amplitudes / np.linalg.norm(amplitudes))
     spectral = evolve_spectral(initial, coin, t)
     assert np.abs(spectral.amplitudes - evolve(initial, coin, t).amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "coin", [grover_coin(), a1_coin(), haar_coin()], ids=["grover", "a1", "haar"]
+)
+@pytest.mark.parametrize("size", [51, 61])
+def test_evolve_spectral_matches_evolve_across_chunks(coin, size):
+    # two and three chunks, the last one ragged
+    assert size ** 2 > spectral.CHUNK_BLOCKS and size ** 2 % spectral.CHUNK_BLOCKS
+    rng = np.random.default_rng(size)
+    amplitudes = rng.normal(size=(size, size, 4)) + 1j * rng.normal(size=(size, size, 4))
+    initial = WalkState(amplitudes / np.linalg.norm(amplitudes))
+    for t in (0, 1, 2, 31, 32, 3 * size):
+        spectral_state = evolve_spectral(initial, coin, t)
+        assert spectral_state.t == t
+        assert np.abs(spectral_state.amplitudes - evolve(initial, coin, t).amplitudes).max() < 1e-12
 
 
 def cluster_sequences(decomposition):
