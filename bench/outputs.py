@@ -10,12 +10,16 @@ coin and the `custom:` initial state come from `perfbench/inputs.py` at
 seed SEED; the grover `file:` coin holds the diffusion matrix.  OUT.json
 holds, per job, the exit code and the sha256 of its stdout and of the
 file it wrote (null when it wrote none), so two source trees print and
-write the same bytes exactly when their files are equal:
+write the same bytes exactly when their files are equal.  To compare
+with an earlier run, for instance of the parent commit:
 
-    diff parent.json change.json
+    python3 bench/outputs.py OUT.json --against BASE.json
 
-The exit status is 1 when any job exited non-zero, after OUT.json is
-written.
+prints every job whose exit code or digests differ from BASE.json, or
+that is new or missing there.
+
+The exit status is 1 when any job exited non-zero or, with --against,
+when any job differs, is new or is missing; OUT.json is written first.
 """
 
 from __future__ import annotations
@@ -105,9 +109,26 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def differences(base: list, records: list) -> list[str]:
+    """One line per job that differs between two record lists, is new or is missing."""
+    before = {record["job"]: record for record in base}
+    after = {record["job"]: record for record in records}
+    lines = []
+    for job, record in after.items():
+        if job not in before:
+            lines.append(f"new: {job}")
+        elif record != before[job]:
+            fields = [key for key in record if record[key] != before[job].get(key)]
+            lines.append(f"differs: {job} ({', '.join(fields)})")
+    lines.extend(f"missing: {job}" for job in before if job not in after)
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=pathlib.Path, help="JSON file to write")
+    parser.add_argument("--against", type=pathlib.Path, metavar="BASE",
+                        help="OUT.json of an earlier run to compare with")
     args = parser.parse_args(argv)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,7 +153,11 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     failed = sum(record["exit"] != 0 for record in records)
     print(f"{len(records)} jobs, {failed} non-zero exits; wrote {args.out}")
-    return 1 if failed else 0
+    if args.against is None:
+        return 1 if failed else 0
+    changed = differences(json.loads(args.against.read_text())["jobs"], records)
+    print("\n".join(changed + [f"{len(changed)} jobs differ from {args.against}"]))
+    return 1 if failed or changed else 0
 
 
 if __name__ == "__main__":

@@ -181,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     coin = parse_coin(args.coin)
     spec = parse_initial(args.initial)
-    if args.steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {args.steps}")
     state = origin_superposition(args.n, spec)
     if args.backend == "spectral":
         state = evolve_spectral(state, coin, args.steps)
@@ -223,6 +221,8 @@ def _cmd_timeavg(args) -> int:
     spec = parse_initial(args.initial)
     coin = parse_coin(args.coin)
     if args.method == "limit":
+        if args.parity != "all":
+            raise ValueError("the infinite-lattice limit has no parity split; use --parity all")
         report = ta.limit_report(coin, spec)
     else:
         if args.n is None:

@@ -244,11 +244,12 @@ def coin_from_json(path) -> Coin:
     """
     path = pathlib.Path(path)
     data = json.loads(path.read_text())
-    arr = np.asarray(data, dtype=float)
+    expected = f"coin file {path} must hold a 4x4 array of [re, im] pairs"
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # an object, a string or a ragged list
+        raise ValueError(f"{expected}: {exc}") from None
     if arr.shape != (4, 4, 2):
-        raise ValueError(
-            f"coin file {path} must hold a 4x4 array of [re, im] pairs, "
-            f"got shape {arr.shape}"
-        )
+        raise ValueError(f"{expected}, got shape {arr.shape}")
     entries = arr[..., 0] + 1j * arr[..., 1]
     return custom_coin(entries, label=path.stem)

@@ -41,7 +41,6 @@ from .coins import Coin, grover_coin
 from .state import InitialSpec, WalkState, _check_size
 
 __all__ = [
-    "DegeneracyClass",
     "MomentumBlock",
     "OriginExpansion",
     "ClassCoefficients",
@@ -49,7 +48,6 @@ __all__ = [
     "SpectralError",
     "a1_eigenvalues",
     "build_block",
-    "degeneracy_class",
     "evolve_spectral",
     "grover_eigenvalues",
     "grover_eigenvectors",
@@ -224,14 +222,15 @@ def grover_eigenvalues(n, m, size: int) -> np.ndarray:
     Off the diagonal l3/l4 = (-c -+ i sqrt(4 - c^2))/2 with
     c = cos(2 pi n / N) + cos(2 pi m / N), so Im(l3) <= 0 <= Im(l4).  On
     the diagonal (n == m) l3 = -w^n and l4 = -w^-n, so Im(l3) > 0 for
-    n > N/2.
+    n > N/2.  The diagonal values are read from `momentum_phases`, the one
+    source of phases for every block builder.
     """
     n, m = np.broadcast_arrays(n, m)
-    w = np.exp(2j * np.pi / size)
+    d = momentum_phases(n, m, size)
     c = np.cos(2 * np.pi * n / size) + np.cos(2 * np.pi * m / size)
     root = np.sqrt(4.0 - c * c)
-    l3 = np.where(n == m, -(w ** n), (-c - 1j * root) / 2.0)
-    l4 = np.where(n == m, -(w ** -n), (-c + 1j * root) / 2.0)
+    l3 = np.where(n == m, -d[..., 1], (-c - 1j * root) / 2.0)
+    l4 = np.where(n == m, -d[..., 0], (-c + 1j * root) / 2.0)
     return np.stack(np.broadcast_arrays(-1.0, 1.0, l3, l4), axis=-1)
 
 
@@ -288,72 +287,6 @@ def a1_eigenvalues(n: int, m: int, size: int) -> np.ndarray:
             np.sqrt(mu_minus),
             -np.sqrt(mu_minus),
         ]
-    )
-
-
-# ---------------------------------------------------------------------------
-# Degeneracy classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DegeneracyClass:
-    """Momentum pairs sharing the nontrivial eigenvalues of a block."""
-
-    representative: tuple[int, int]
-    members: tuple[tuple[int, int], ...]
-    k: int
-    eigenvalue: complex
-
-
-def _orbit_labels(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """
-    The grover degeneracy orbits: their representatives (orbits, 2) and the
-    orbit label of every block (N, N), numbering the orbits origin (label
-    0), axis, diagonal, generic, each group by representative.  With
-    a = min(n, N - n), b = min(m, N - m) the representative of (n, m) is
-    (max(a, b), 0) on the axes, (n, n) where a == b > 0 (so (n, N - n)
-    joins (n, n)) and (min(a, b), max(a, b)) elsewhere.
-    """
-    n, m = np.indices((size, size))
-    a, b = np.minimum(n, size - n), np.minimum(m, size - m)
-    low, high = np.minimum(a, b), np.maximum(a, b)
-    diagonal = (a == b) & (a > 0)
-    group = np.select([high == 0, low == 0, diagonal], [0, 1, 2], 3)
-    rep_n = np.where(diagonal, n, np.where(low == 0, high, low))
-    rep_m = np.where(diagonal, n, np.where(low == 0, 0, high))
-    keys, labels = np.unique((group * size + rep_n) * size + rep_m, return_inverse=True)
-    return np.stack([keys // size % size, keys % size], axis=-1), labels.reshape(size, size)
-
-
-def degeneracy_class(n: int, m: int, size: int, k: int = 3) -> DegeneracyClass:
-    """
-    The orbit of momentum pairs sharing eigenvalue k of block (n, m), for
-    the diffusion coin: the class that `origin_coefficients` tabulates.
-
-    The orbit is determined by equality of cos(xi_n) + cos(xi_m): size 4
-    for axis blocks (n == 0 or m == 0), 8 for a generic block, and 2 for a
-    diagonal block (n, n) together with its antidiagonal partner (n, N - n),
-    so degeneracy_class(n, N - n) is the two-member class of (n, n).
-
-    Raises
-    ------
-    ValueError
-        For an even N or one below 3, for (0, 0), whose fully degenerate
-        block is handled on its own, or for k outside 1..4.
-    """
-    _check_size(size)
-    if not (0 <= n < size and 0 <= m < size):
-        raise ValueError(f"momenta must lie in 0..{size - 1}, got ({n}, {m})")
-    if n == 0 and m == 0:
-        raise ValueError("block (0, 0) forms its own class and has no orbit")
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"eigenvalue index k must be 1..4, got {k}")
-    labels = _orbit_labels(size)[1]
-    return DegeneracyClass(
-        representative=(n, m),
-        members=tuple(map(tuple, np.argwhere(labels == labels[n, m]).tolist())),
-        k=k,
-        eigenvalue=complex(grover_eigenvalues(n, m, size)[k - 1]),
     )
 
 
@@ -481,7 +414,7 @@ def evolve_spectral(initial: WalkState, coin: Coin, t: int) -> WalkState:
     """
     t = int(t)
     if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+        raise ValueError(f"steps must be nonnegative, got {t}")
     size = initial.n
     flat = np.fft.fft2(initial.amplitudes, axes=(0, 1)).reshape(-1, 4)
     _propagate(flat, coin, t, size)
@@ -578,6 +511,26 @@ class OriginExpansion:
 
 def _is_grover(coin: Coin) -> bool:
     return bool(np.abs(coin.entries - grover_coin().entries).max() < 1e-12)
+
+
+def _orbit_labels(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The grover degeneracy orbits: their representatives (orbits, 2) and the
+    orbit label of every block (N, N), numbering the orbits origin (label
+    0), axis, diagonal, generic, each group by representative.  With
+    a = min(n, N - n), b = min(m, N - m) the representative of (n, m) is
+    (max(a, b), 0) on the axes, (n, n) where a == b > 0 (so (n, N - n)
+    joins (n, n)) and (min(a, b), max(a, b)) elsewhere.
+    """
+    n, m = np.indices((size, size))
+    a, b = np.minimum(n, size - n), np.minimum(m, size - m)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    diagonal = (a == b) & (a > 0)
+    group = np.select([high == 0, low == 0, diagonal], [0, 1, 2], 3)
+    rep_n = np.where(diagonal, n, np.where(low == 0, high, low))
+    rep_m = np.where(diagonal, n, np.where(low == 0, 0, high))
+    keys, labels = np.unique((group * size + rep_n) * size + rep_m, return_inverse=True)
+    return np.stack([keys // size % size, keys % size], axis=-1), labels.reshape(size, size)
 
 
 def _grover_classes(

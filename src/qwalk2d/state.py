@@ -67,24 +67,16 @@ class InitialSpec:
     zeta: complex = 0.0
 
     def __post_init__(self) -> None:
-        total = sum(abs(complex(w)) ** 2 for w in self.as_tuple())
+        total = sum(abs(w) ** 2 for w in self.weights.tolist())
         if not abs(total - 1.0) <= SPEC_NORM_TOL:
             raise ValueError(
                 f"initial weights must satisfy sum |w|^2 = 1, got {total!r}"
             )
 
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (
-            complex(self.alpha),
-            complex(self.beta),
-            complex(self.gamma),
-            complex(self.zeta),
-        )
-
     @property
     def weights(self) -> np.ndarray:
         """The four weights as a complex vector in chirality order."""
-        return np.array(self.as_tuple(), dtype=np.complex128)
+        return np.array([self.alpha, self.beta, self.gamma, self.zeta], dtype=np.complex128)
 
     @classmethod
     def pure(cls, chirality) -> "InitialSpec":
@@ -183,9 +175,6 @@ class WalkState:
             self.t,
             validate=False,
         )
-
-    def copy(self) -> "WalkState":
-        return WalkState(self.amplitudes.copy(), self.t, validate=False)
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.n}, t={self.t})"

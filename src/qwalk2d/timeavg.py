@@ -279,8 +279,7 @@ def limit_report(coin: Coin, initial: InitialSpec) -> TimeAverageReport:
     """
     if not _is_grover(coin):
         raise ValueError("the infinite-lattice limit covers the grover coin")
-    # abs() on each scalar, as in limit_time_average: np.abs over the array moves last bits
-    values = [float(abs(amp) ** 2) for amp in _limit_amplitudes(initial.weights)]
+    values = [limit_time_average(initial, chirality) for chirality in CHIRALITIES]
     return _report("limit", "all", coin.label, initial.describe(), None, values)
 
 

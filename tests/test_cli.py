@@ -251,6 +251,17 @@ def test_timeavg_limit_accepts_coins_equal_to_grover(capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_timeavg_limit_refuses_parity_split(parity, tmp_path, capsys):
+    # the limit is an all-times average; the even-time value tends to 1/4, not 1/8
+    out = tmp_path / "report.json"
+    assert cli.main(["timeavg", "--method", "limit", "--parity", parity, "--initial", "R",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parity" in captured.err
+    assert not out.exists()
+
+
 def test_timeavg_empirical_small_horizon(capsys):
     code = cli.main(
         ["timeavg", "--coin", "grover", "--n", "5", "--initial", "R",
@@ -296,6 +307,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("backend", ["direct", "spectral"])
+def test_negative_steps_exit_2(backend, tmp_path, capsys):
+    # each backend checks its own step count and names it in the same words
+    out = tmp_path / "grid.csv"
+    assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "-1",
+                     "--backend", backend, "--out", str(out)]) == 2
+    assert "steps must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_errors_exit_3(monkeypatch, tmp_path):
     from qwalk2d.spectral import SpectralError
 
@@ -333,6 +354,24 @@ def test_nan_coin_file_exits_2(argv, tmp_path, capsys):
     argv = [arg.format(out=tmp_path / "grid.csv") for arg in argv]
     assert cli.main([*argv, "--coin", f"file:{path}"]) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+MALFORMED_RUNS = {
+    "simulate": ("simulate", "--n", "5", "--steps", "3", "--out", "{out}"),
+    "predict": ("predict", "--n", "5"),
+}
+
+
+@pytest.mark.parametrize("content", ['{"a": 1}', '[[{"a": 1}]]'], ids=["object", "nested-object"])
+@pytest.mark.parametrize("argv", MALFORMED_RUNS.values(), ids=MALFORMED_RUNS.keys())
+def test_malformed_coin_file_exits_2(argv, content, tmp_path, capsys):
+    # numpy raised TypeError on a JSON object, which ended in a traceback and exit 1
+    path = tmp_path / "coin.json"
+    path.write_text(content)
+    argv = [arg.format(out=tmp_path / "grid.csv") for arg in argv]
+    assert cli.main([*argv, "--coin", f"file:{path}"]) == 2
+    assert "4x4 array of [re, im] pairs" in capsys.readouterr().err
     assert not (tmp_path / "grid.csv").exists()
 
 

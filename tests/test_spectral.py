@@ -14,7 +14,6 @@ from qwalk2d import (
     a2_coin,
     build_block,
     custom_coin,
-    degeneracy_class,
     evolve,
     evolve_spectral,
     exact_time_average,
@@ -196,9 +195,8 @@ def test_grover_eigenvectors_residuals_every_block(size):
         lambda size: origin_coefficients(grover_coin(), InitialSpec.pure("R"), size),
         lambda size: origin_eigenvalue_amplitudes(a1_coin(), InitialSpec.pure("R"), size),
         lambda size: exact_time_average(grover_coin(), InitialSpec.pure("R"), size),
-        lambda size: degeneracy_class(0, 1, size),
     ],
-    ids=["grover_eigenvectors", "build", "origin_coefficients", "amplitudes", "exact", "class"],
+    ids=["grover_eigenvectors", "build", "origin_coefficients", "amplitudes", "exact"],
 )
 @pytest.mark.parametrize("size", [1, 4, 6])
 def test_spectral_paths_reject_even_or_small_sizes(call, size):
@@ -241,66 +239,55 @@ def test_projectors_match_numeric_in_degenerate_subspace():
         assert np.abs(p_closed - p_numeric).max() < 1e-10
 
 
+def _class_holding(size, block, k=3):
+    """The row of the grover class table whose orbit holds `block`, for eigenvalue k."""
+    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
+    for cls in expansion.classes:
+        if cls.k == k and block in cls.members:
+            return cls
+    raise AssertionError(f"no class k={k} holds block {block}")
+
+
 def test_degeneracy_class_axis():
-    cls = degeneracy_class(1, 0, 5)
+    cls = _class_holding(5, (1, 0))
+    assert cls.representative == (1, 0)
     assert set(cls.members) == {(1, 0), (0, 1), (4, 0), (0, 4)}
-    assert len(cls.members) == 4
+    assert len(cls.members) == cls.multiplicity == 4
 
 
 def test_degeneracy_class_diagonal():
-    cls = degeneracy_class(2, 2, 5)
+    # the antidiagonal block (n, N - n) shares the two-member class of (n, n)
+    cls = _class_holding(5, (2, 3))
+    assert cls.representative == (2, 2)
     assert set(cls.members) == {(2, 2), (2, 3)}
 
 
 def test_degeneracy_class_generic():
-    cls = degeneracy_class(1, 2, 7)
+    cls = _class_holding(7, (1, 2))
     assert set(cls.members) == {
         (1, 2), (1, 5), (6, 2), (6, 5), (2, 1), (2, 6), (5, 1), (5, 6)
     }
-    assert len(cls.members) == 8
-
-
-def test_degeneracy_class_rejects_origin_block():
-    with pytest.raises(ValueError):
-        degeneracy_class(0, 0, 5)
+    assert len(cls.members) == cls.multiplicity == 8
 
 
 def test_degeneracy_class_zero_first_momentum_uses_axis_orbit():
-    assert set(degeneracy_class(0, 2, 5).members) == {(2, 0), (0, 2), (3, 0), (0, 3)}
+    cls = _class_holding(5, (0, 2))
+    assert cls.representative == (2, 0)
+    assert set(cls.members) == {(2, 0), (0, 2), (3, 0), (0, 3)}
 
 
 def test_degeneracy_class_members_share_cosine_sum():
     size = 9
-    for rep in [(1, 0), (2, 2), (1, 3), (2, 4)]:
-        cls = degeneracy_class(*rep, size)
-        xi = lambda j: 2 * np.pi * j / size
-        reference = np.cos(xi(rep[0])) + np.cos(xi(rep[1]))
+    xi = lambda j: 2 * np.pi * j / size
+    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
+    for cls in expansion.classes:
+        reference = np.cos(xi(cls.representative[0])) + np.cos(xi(cls.representative[1]))
         for n, m in cls.members:
             assert abs(np.cos(xi(n)) + np.cos(xi(m)) - reference) < 1e-12
 
 
-@pytest.mark.parametrize("size", [3, 5, 7, 9])
-def test_degeneracy_class_is_the_origin_coefficients_class(size):
-    # the antidiagonal block (n, N - n) shares the two-member class of (n, n)
-    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
-    holding = {
-        member: cls.members
-        for cls in expansion.classes
-        if cls.representative != (0, 0)
-        for member in cls.members
-    }
-    for n in range(size):
-        for m in range(size):
-            if (n, m) == (0, 0):
-                continue
-            members = degeneracy_class(n, m, size).members
-            assert members == holding[n, m]
-            for member in members:
-                assert set(degeneracy_class(*member, size).members) == set(members)
-
-
 def test_degeneracy_class_eigenvalue_field():
-    cls = degeneracy_class(2, 2, 5, k=3)
+    cls = _class_holding(5, (2, 2), k=3)
     w = np.exp(2j * np.pi / 5)
     assert cls.eigenvalue == pytest.approx(-(w ** 2))
 
@@ -562,9 +549,16 @@ def test_expansion_reproduces_direct_evolution(coin):
 
 
 def test_expansion_class_multiplicities():
-    # every one of the 4 N^2 eigenvalues is accounted for exactly once
-    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), 5)
-    assert sum(cls.multiplicity for cls in expansion.classes) == 4 * 25
+    # every one of the 4 N^2 eigenvalues is accounted for exactly once; an orbit
+    # holds 4 blocks on the axes, 2 on the diagonal and 8 elsewhere
+    for size in (5, 9):
+        expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
+        assert sum(cls.multiplicity for cls in expansion.classes) == 4 * size ** 2
+        for cls in expansion.classes:
+            n, m = cls.representative
+            if (n, m) != (0, 0):
+                orbit = 4 if m == 0 else 2 if n == m else 8
+                assert len(cls.members) == cls.multiplicity == orbit
 
 
 def test_non_grover_expansion_unlabeled_clusters():

@@ -215,6 +215,28 @@ def test_summed_limit_never_exceeds_uniform_maximum(raw):
     assert limit_report(grover_coin(), spec).total <= maximum + 1e-12
 
 
+@settings(deadline=None, max_examples=10)
+@given(st.lists(st.floats(-1, 1), min_size=8, max_size=8))
+def test_exact_route_meets_limit_route_for_any_initial_state(raw):
+    # exact(N) - limit is O(1/N^2) per chirality, so one Richardson step from
+    # N = 21 and 41 lands far closer to the limit than N = 41 alone
+    vec = np.array(raw[:4]) + 1j * np.array(raw[4:])
+    norm = np.linalg.norm(vec)
+    if norm < 1e-3:
+        return
+    spec = InitialSpec(*(vec / norm))
+    limit = np.array(limit_report(grover_coin(), spec).per_chirality)
+    exact = {
+        size: np.array(exact_time_average(grover_coin(), spec, size).per_chirality)
+        for size in (11, 21, 41)
+    }
+    for size, values in exact.items():
+        assert size ** 2 * np.abs(values - limit).max() <= 2.0
+    richardson = (41 ** 2 * exact[41] - 21 ** 2 * exact[21]) / (41 ** 2 - 21 ** 2)
+    gap = np.abs(exact[41] - limit).max()
+    assert np.abs(richardson - limit).max() <= 0.2 * gap + 1e-12
+
+
 def test_uniform_state_even_time_average_exceeds_half():
     # numerical observation: the even-time total at the summed-limit
     # maximizer stays above 1/2 on finite lattices
