@@ -1,8 +1,9 @@
 """
 The timed paths of `perfbench/scaling.py`, direct evolution to t = N
 under the a1 coin and a Haar coin at scaling's lattice sizes, two long
-direct trajectories and two spectral propagations, written with the host
-description to one BENCH_<seq>.json.
+direct trajectories, two spectral propagations and three eigensolve-bound
+exact paths at N = 101, 201 and 301, written with the host description
+to one BENCH_<seq>.json.
 
     python3 bench/trajectory.py SEQ --label TEXT
 
@@ -44,6 +45,8 @@ HORIZON = 20000
 SPECTRAL_STEPS = 100000
 #: Timed calls per size, after one untimed warm-up call.
 CALLS = 7
+#: Sizes of the exact paths whose time goes to the 4x4 eigensolves.
+LARGE = (101, 201, 301)
 
 
 def trajectory_paths(lattice):
@@ -61,6 +64,12 @@ def trajectory_paths(lattice):
          lambda n: qw.evolve_spectral(qw.pure_state(n, "R"), haar, n)),
         (f"evolve_spectral(grover, t={SPECTRAL_STEPS})", (51, 101, 201),
          lambda n: qw.evolve_spectral(qw.pure_state(n, "R"), grover, SPECTRAL_STEPS)),
+        ("exact_time_average(grover, R, all), large N", LARGE,
+         lambda n: qw.exact_time_average(grover, pure_r, n)),
+        ("origin_coefficients(grover, R), large N", LARGE,
+         lambda n: qw.origin_coefficients(grover, pure_r, n)),
+        ("localization_predictor(a1), large N", LARGE,
+         lambda n: qw.localization_predictor(a1, n)),
     ]
 
 

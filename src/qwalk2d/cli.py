@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 
@@ -125,6 +126,10 @@ def parse_initial(text: str) -> InitialSpec:
     return InitialSpec(*weights)
 
 
+#: Default time horizon of `timeavg --method empirical`.
+EMPIRICAL_SAMPLES = 20000
+
+
 def _odd_size(value: str) -> int:
     size = int(value)
     try:
@@ -133,7 +138,9 @@ def _odd_size(value: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it costs about ten parses."""
     parser = argparse.ArgumentParser(
         prog="qwalk2d",
         description="Two-dimensional coined quantum walks on the periodic lattice.",
@@ -164,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
     )
     avg.add_argument("--parity", choices=ta.PARITIES, default="all")
-    avg.add_argument("--samples", type=int, default=20000,
-                     help="time horizon T for the empirical method")
+    avg.add_argument("--samples", type=int,
+                     help=f"time horizon T for the empirical method (default {EMPIRICAL_SAMPLES})")
     avg.add_argument("--out")
 
     scan = sub.add_parser("scan-alpha", help="limit curves over the two-component family")
@@ -220,9 +227,13 @@ def _format_value(value: complex) -> str:
 def _cmd_timeavg(args) -> int:
     spec = parse_initial(args.initial)
     coin = parse_coin(args.coin)
+    if args.samples is not None and args.method != "empirical":
+        raise ValueError(f"--samples applies to the empirical method only, not {args.method}")
     if args.method == "limit":
         if args.parity != "all":
             raise ValueError("the infinite-lattice limit has no parity split; use --parity all")
+        if args.n is not None:
+            raise ValueError("the infinite-lattice limit takes no --n; use --method exact")
         report = ta.limit_report(coin, spec)
     else:
         if args.n is None:
@@ -231,9 +242,8 @@ def _cmd_timeavg(args) -> int:
             report = ta.closed_form_report(coin, spec, args.n, args.parity)
         elif args.method == "empirical":
             state = origin_superposition(args.n, spec)
-            report = ta.empirical_time_average(
-                state, coin, args.samples, parity=args.parity
-            )
+            horizon = EMPIRICAL_SAMPLES if args.samples is None else args.samples
+            report = ta.empirical_time_average(state, coin, horizon, parity=args.parity)
         else:
             report = ta.exact_time_average(coin, spec, args.n, parity=args.parity)
     if report.total is None:

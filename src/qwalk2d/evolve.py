@@ -60,7 +60,13 @@ def trajectory(state: WalkState, coin: Coin):
         mixed_flat.take(index, out=flat, mode="wrap")
 
 
-def check_norm(amplitudes: np.ndarray, start_norm_sq: float, coin: Coin, steps: int) -> None:
+def check_norm(
+    amplitudes: np.ndarray,
+    start_norm_sq: float,
+    coin: Coin,
+    steps: int,
+    rounding_per_step: float = 0.0,
+) -> None:
     """
     Raise ConsistencyError when `steps` steps moved the norm^2 of the state
     away from `start_norm_sq` by more than rounding (NORM_TOL) plus what
@@ -69,10 +75,12 @@ def check_norm(amplitudes: np.ndarray, start_norm_sq: float, coin: Coin, steps: 
     Each step scales the norm^2 by at most 1 + r with r = ||C^H C - I||_2,
     which is at most 4 times the entrywise residual; r is capped at what
     `Coin` admits (CUSTOM_UNITARITY_TOL), so a coin set past validation
-    gets no more.
+    gets no more.  A caller whose rounding compounds over the steps (the
+    spectral block powers) adds `rounding_per_step` of norm^2 per step.
     """
     residual = 4.0 * min(unitarity_residual(coin.entries), CUSTOM_UNITARITY_TOL)
-    limit = NORM_TOL + start_norm_sq * math.expm1(steps * math.log1p(residual))
+    growth = steps * rounding_per_step + math.expm1(steps * math.log1p(residual))
+    limit = NORM_TOL + start_norm_sq * growth
     drift = abs(float((np.abs(amplitudes) ** 2).sum()) - start_norm_sq)
     if not drift <= limit:
         raise ConsistencyError(

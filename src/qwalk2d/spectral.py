@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coins import Coin, grover_coin
+from .evolve import check_norm
 from .state import InitialSpec, WalkState, _check_size
 
 __all__ = [
@@ -62,6 +63,12 @@ RESIDUAL_TOL = 1e-10
 #: Momentum blocks `evolve_spectral` propagates together: a chunk's three
 #: (4, 4, B) complex buffers take 768 B bytes, 1.2 MB, so they stay in a 2 MiB L2.
 CHUNK_BLOCKS = 1536
+#: Norm^2 drift per step that `evolve_spectral` allows for rounding.  A built
+#: block's norm is 1 + O(eps), and H^t compounds that t times: from pure R
+#: and from random states the drift stays below 1.6 eps per step (grover,
+#: a1, a2, a4:p and Haar coins at N = 3..101, t = 1e6..1e15), so 16 eps
+#: leaves a tenfold margin.
+POWER_ROUNDING = 16 * np.finfo(np.float64).eps
 
 
 class SpectralError(RuntimeError):
@@ -72,12 +79,15 @@ def momentum_phases(n, m, size: int) -> np.ndarray:
     """
     Diagonal phase factors (w^-n, w^n, w^-m, w^m) of block (n, m); momentum
     arrays broadcast, giving shape (..., 4).  Momenta are taken mod N and
-    every phase is read from one table of w^k and w^-k, k = 0..N-1, so a
-    block gets the same bits from every builder at the cost of 2N powers.
+    every phase is read from one table: w^k = exp(2 pi i k / N) for
+    k = 0..N/2, w^(N-k) = conj(w^k) and w^-k = conj(w^k).  Each entry is
+    unimodular to rounding, and the table is exactly conjugate-symmetric,
+    so for a real coin block (-n, -m) is the conjugate of block (n, m) bit
+    for bit (up to the sign of a zero).
     """
-    k = np.arange(size)
-    w = np.exp(2j * np.pi / size)
-    up, down = w ** k, w ** -k
+    half = np.exp(2j * np.pi * np.arange(size // 2 + 1) / size)
+    up = np.concatenate([half, half[(size - 1) // 2 : 0 : -1].conj()])
+    down = up.conj()
     n, m = np.broadcast_arrays(np.mod(n, size), np.mod(m, size))
     return np.stack([down[n], up[n], down[m], up[m]], axis=-1)
 
@@ -125,17 +135,26 @@ def sum_by_label(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _sorted(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order each block's eigenvalues like the centres of `cluster_labels`, columns alike."""
+    order = np.lexsort((values.imag, np.round(values.real / DEGENERACY_TOL)), axis=-1)
+    return (
+        np.take_along_axis(values, order, axis=-1),
+        np.take_along_axis(vectors, order[..., None, :], axis=-1),
+    )
+
+
 def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     Diagonalize the blocks H(n, m) over broadcast momentum arrays with one
-    eig call.
+    eig call: the whole grid for a complex coin, half of it for a real coin
+    (`_grid_eigensystems`), one block for `build_block`.
 
     Returns the eigenvalues (..., 4), sorted within each block like the
     centres of `cluster_labels`, and the paired unit eigenvector columns
-    (..., 4, 4).  Where an
-    eigenvalue repeats within a block, its copies are replaced by their mean
-    and its columns are QR-orthonormalized, so every eigenvector matrix is
-    unitary.
+    (..., 4, 4).  Where an eigenvalue repeats within a block, its copies
+    are replaced by their mean and its columns are QR-orthonormalized, so
+    every eigenvector matrix is unitary.
 
     Raises
     ------
@@ -157,9 +176,7 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
         for label in np.flatnonzero(np.bincount(labels) > 1):
             group = labels == label
             vectors[b][:, group] = np.linalg.qr(vectors[b][:, group])[0]
-    order = np.lexsort((values.imag, np.round(values.real / DEGENERACY_TOL)), axis=-1)
-    values = np.take_along_axis(values, order, axis=-1)
-    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    values, vectors = _sorted(values, vectors)
     checks = (
         ("eigenpair residual", h @ vectors - vectors * values[..., None, :]),
         ("eigenvector unitarity error", vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(4)),
@@ -172,6 +189,31 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
                 f"{what} {error[worst]:.3e} in block ({bn[worst]}, {bm[worst]}) "
                 f"exceeds {RESIDUAL_TOL:.0e}"
             )
+    return values, vectors
+
+
+def _grid_eigensystems(coin: Coin, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    `_eigensystems` of all N^2 blocks, as (N, N, 4) values and (N, N, 4, 4)
+    vectors.  A real coin's block (-n, -m) is the exact conjugate of block
+    (n, m) (see `momentum_phases`), so only rows n = 0..(N-1)/2 are
+    diagonalized: row N - n is the conjugate of row n read at columns
+    -m mod N, re-sorted.  Conjugation keeps the magnitude of every residual,
+    so the checks on the diagonalized rows cover the filled ones.  A
+    complex coin is diagonalized on the full grid.
+    """
+    momenta = np.arange(_check_size(size))
+    if not coin.is_real:
+        return _eigensystems(coin, momenta[:, None], momenta, size)
+    half = (size + 1) // 2
+    values = np.empty((size, size, 4), dtype=np.complex128)
+    vectors = np.empty((size, size, 4, 4), dtype=np.complex128)
+    values[:half], vectors[:half] = _eigensystems(coin, momenta[:half, None], momenta, size)
+    mirror = -momenta % size
+    for n in range(1, half):
+        values[size - n], vectors[size - n] = _sorted(
+            values[n, mirror].conj(), vectors[n, mirror].conj()
+        )
     return values, vectors
 
 
@@ -321,8 +363,7 @@ class SpectralDecomposition:
 
     @classmethod
     def build(cls, coin: Coin, size: int) -> "SpectralDecomposition":
-        momenta = np.arange(_check_size(size))
-        values = _eigensystems(coin, momenta[:, None], momenta, size)[0]
+        values = _grid_eigensystems(coin, size)[0]
         centres, labels = cluster_labels(values.ravel())
         clusters = tuple(
             map(EigenvalueCluster, centres.tolist(), np.bincount(labels).tolist())
@@ -411,6 +452,11 @@ def evolve_spectral(initial: WalkState, coin: Coin, t: int) -> WalkState:
     between bits Z <- Z Z, as four broadcast multiply-adds into reused
     buffers.  That is O(log t) elementwise passes per chunk and no
     per-block matrix call.
+
+    Raises ConsistencyError when the final norm drifts from the input's
+    by more than `evolve.check_norm` allows with POWER_ROUNDING per step,
+    as it does once rounding blows up the powers (grover at N=9 and
+    t = 1e18 ends with norm^2 ~ 1e59).
     """
     t = int(t)
     if t < 0:
@@ -419,6 +465,7 @@ def evolve_spectral(initial: WalkState, coin: Coin, t: int) -> WalkState:
     flat = np.fft.fft2(initial.amplitudes, axes=(0, 1)).reshape(-1, 4)
     _propagate(flat, coin, t, size)
     amplitudes = np.fft.ifft2(flat.reshape(size, size, 4), axes=(0, 1))
+    check_norm(amplitudes, initial.norm_sq(), coin, t, POWER_ROUNDING)
     return WalkState(amplitudes, initial.t + t, validate=False)
 
 
@@ -430,10 +477,9 @@ def _origin_terms(coin: Coin, weights: np.ndarray, size: int):
     """
     Eigenvalues of all N^2 blocks, flattened to (4 N^2,), with the
     projection v (v^H weights) of the initial chirality vector on each
-    paired eigenvector, (4 N^2, 4).  Every block is diagonalized once.
+    paired eigenvector, (4 N^2, 4), from `_grid_eigensystems`.
     """
-    momenta = np.arange(_check_size(size))
-    values, vectors = _eigensystems(coin, momenta[:, None], momenta, size)
+    values, vectors = _grid_eigensystems(coin, size)
     terms = vectors * (vectors.conj().swapaxes(-1, -2) @ weights)[..., None, :]
     return values.reshape(-1), terms.swapaxes(-1, -2).reshape(-1, 4)
 

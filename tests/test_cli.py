@@ -207,14 +207,18 @@ def test_timeavg_closed_form_accepts_coins_equal_to_grover(selector, tmp_path, c
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("method", ["exact", "empirical", "limit"])
-def test_timeavg_file_records_initial_as_typed(method, tmp_path):
+@pytest.mark.parametrize(
+    "method,options",
+    [("exact", ["--n", "5"]), ("empirical", ["--n", "5", "--samples", "8"]), ("limit", [])],
+    ids=["exact", "empirical", "limit"],
+)
+def test_timeavg_file_records_initial_as_typed(method, options, tmp_path):
     literal = "custom:0.5+0.5i,0.5,0.5i,0.4e^{i pi/3}"
     grid, report = tmp_path / "grid.json", tmp_path / "report.json"
     assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "1",
                      "--initial", literal, "--format", "json", "--out", str(grid)]) == 0
-    assert cli.main(["timeavg", "--coin", "grover", "--n", "5", "--initial", literal,
-                     "--method", method, "--samples", "8", "--out", str(report)]) == 0
+    assert cli.main(["timeavg", "--coin", "grover", "--initial", literal,
+                     "--method", method, *options, "--out", str(report)]) == 0
     assert json.loads(report.read_text())["initial"] == literal
     assert json.loads(grid.read_text())["initial"] == literal
 
@@ -249,6 +253,45 @@ def test_timeavg_limit_accepts_coins_equal_to_grover(capsys):
     want = capsys.readouterr().out
     assert cli.main(["timeavg", "--method", "limit", "--coin", "a4:0.5"]) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "method,ignored",
+    [
+        ("limit", ["--n", "9"]),
+        ("limit", ["--samples", "5"]),
+        ("exact", ["--samples", "5"]),
+        ("closed-form", ["--samples", "5"]),
+    ],
+    ids=["limit-n", "limit-samples", "exact-samples", "closed-form-samples"],
+)
+def test_timeavg_refuses_options_its_method_ignores(method, ignored, tmp_path, capsys):
+    # an ignored option would print another method's number under exit 0
+    out = tmp_path / "report.json"
+    size = [] if method == "limit" else ["--n", "9"]
+    assert cli.main(["timeavg", "--initial", "R", "--method", method, *size, *ignored,
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ignored[0] in captured.err
+    assert not out.exists()
+
+
+def test_timeavg_empirical_defaults_to_twenty_thousand_samples(monkeypatch):
+    horizons = []
+
+    def recording(state, coin, horizon, parity):
+        horizons.append(horizon)
+        return cli.ta.TimeAverageReport("empirical", parity, coin.label, "R", state.n,
+                                        (0.25,) * 4, 1.0, horizon)
+
+    monkeypatch.setattr(cli.ta, "empirical_time_average", recording)
+    assert cli.main(["timeavg", "--method", "empirical", "--n", "5"]) == 0
+    assert cli.main(["timeavg", "--method", "empirical", "--n", "5", "--samples", "7"]) == 0
+    assert horizons == [cli.EMPIRICAL_SAMPLES, 7] == [20000, 7]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -329,8 +372,9 @@ def test_numeric_errors_exit_3(monkeypatch, tmp_path):
     leaky = cli.parse_coin("grover")
     object.__setattr__(leaky, "entries", 1.001 * leaky.entries)  # past Coin validation
     monkeypatch.setattr(cli, "parse_coin", lambda text: leaky)
-    assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "2",
-                     "--out", str(tmp_path / "grid.csv")]) == 3
+    for backend in ("direct", "spectral"):
+        assert cli.main(["simulate", "--coin", "grover", "--n", "5", "--steps", "2",
+                         "--backend", backend, "--out", str(tmp_path / "grid.csv")]) == 3
     assert cli.main(["timeavg", "--coin", "grover", "--n", "5", "--method", "empirical",
                      "--samples", "2"]) == 3
 

@@ -11,6 +11,7 @@ from qwalk2d import (
     custom_coin,
     empirical_time_average,
     evolve,
+    evolve_spectral,
     grover_coin,
     origin_superposition,
     pure_state,
@@ -135,6 +136,8 @@ def test_planted_non_unitary_coin_raises_consistency_error():
         step(pure_state(5, "R"), coin)
     with pytest.raises(ConsistencyError, match="norm drifted"):
         empirical_time_average(pure_state(5, "R"), coin, 3)
+    with pytest.raises(ConsistencyError, match="norm drifted"):
+        evolve_spectral(pure_state(5, "R"), coin, 3)
 
 
 def test_planted_nan_coin_raises_consistency_error():

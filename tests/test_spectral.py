@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwalk2d import spectral
 from qwalk2d import (
+    ConsistencyError,
     InitialSpec,
     SpectralDecomposition,
     WalkState,
@@ -27,6 +28,7 @@ from qwalk2d import (
     pure_state,
     symmetric_family,
 )
+from qwalk2d.evolve import check_norm
 from qwalk2d.spectral import (
     DEGENERACY_TOL,
     SpectralError,
@@ -74,15 +76,24 @@ def test_momentum_phases_order():
 
 
 @pytest.mark.parametrize("size", [3, 9, 51, 201])
-def test_momentum_phases_bit_identical_to_power_formula(size):
-    w = np.exp(2j * np.pi / size)
+def test_momentum_phases_unimodular_and_conjugate_symmetric(size):
     n, m = np.indices((size, size))
-    formula = np.stack([w ** -n, w ** n, w ** -m, w ** m], axis=-1).view(np.uint64)
-    assert np.array_equal(momentum_phases(n, m, size).view(np.uint64), formula)
+    phases = momentum_phases(n, m, size)
+    assert np.abs(np.abs(phases) - 1.0).max() <= 4.5e-16
+    w = np.exp(2j * np.pi / size)
+    assert np.abs(phases - np.stack([w ** -n, w ** n, w ** -m, w ** m], axis=-1)).max() < 1e-13
+    up = phases[:, 0, 1]
+    assert np.array_equal(up[size - np.arange(1, size)], up[1:].conj())
+    assert np.array_equal(phases[..., 0], phases[..., 1].conj())
     # out-of-range momenta are reduced mod N before the table lookup
-    shifted = momentum_phases(n - size, m + 2 * size, size)
-    assert np.array_equal(shifted.view(np.uint64), formula)
-    assert np.array_equal(momentum_phases(1, -1, size).view(np.uint64), formula[1, size - 1])
+    assert np.array_equal(momentum_phases(n - size, m + 2 * size, size).view(np.uint64),
+                          phases.view(np.uint64))
+    assert np.array_equal(momentum_phases(1, -1, size).view(np.uint64),
+                          phases[1, size - 1].view(np.uint64))
+    # a real coin's mirrored block is the exact conjugate (a zero may change sign)
+    for coin in (grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.3)):
+        assert np.array_equal(block_matrix(coin, -n, -m, size),
+                              block_matrix(coin, n, m, size).conj())
 
 
 @pytest.mark.parametrize(
@@ -165,8 +176,9 @@ def test_grover_eigenvalues_l3_rule(size):
     off = values[n != m]
     assert (off[:, 2].imag <= 0).all() and (off[:, 3].imag >= 0).all()
     diagonal = np.arange(size)
-    w = np.exp(2j * np.pi / size)
-    assert np.array_equal(values[diagonal, diagonal, 2], -(w ** diagonal))
+    # past N/2 the angle 2 pi n / N itself rounds to ~1e-15, hence the bound
+    closed = -np.exp(2j * np.pi * diagonal / size)
+    assert np.abs(values[diagonal, diagonal, 2] - closed).max() <= 2e-15
     # past N/2 the diagonal l3 = -w^n has a positive imaginary part
     assert (values[diagonal, diagonal, 2].imag[diagonal > size / 2] > 0).all()
 
@@ -722,10 +734,70 @@ def test_kernel_checks_raise_spectral_error(monkeypatch, perturb, message):
         SpectralDecomposition.build(a2_coin(), 5)
 
 
-@pytest.mark.parametrize("coin", [grover_coin(), a1_coin()], ids=["grover", "a1"])
-def test_origin_coefficients_diagonalize_each_block_once(coin, linalg_counts):
+@pytest.mark.parametrize(
+    "coin,matrices",
+    [(grover_coin(), 45), (a1_coin(), 45), (haar_coin(), 81)],
+    ids=["grover", "a1", "haar"],
+)
+def test_origin_coefficients_diagonalize_each_block_once(coin, matrices, linalg_counts):
+    # a real coin's rows 5..8 are the conjugates of rows 4..1: 5 of 9 rows are diagonalized
     origin_coefficients(coin, InitialSpec.pure("R"), 9)
-    assert linalg_counts["eig"] == 81
+    assert linalg_counts["eig"] == matrices
+
+
+def spectral_projectors(values, vectors):
+    """Per block, the projector onto the eigenspace of each eigenvalue, (..., 4, 4, 4)."""
+    close = np.abs(values[..., :, None] - values[..., None, :]) <= DEGENERACY_TOL
+    return np.einsum("...ik,...lk,...kj->...lij", vectors, close, np.linalg.inv(vectors))
+
+
+@pytest.mark.parametrize(
+    "coin", [grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.3)],
+    ids=["grover", "a1", "a2", "a4:0.3"],
+)
+@pytest.mark.parametrize("size", range(3, 22, 2))
+def test_half_grid_eigensystems_match_full_grid_eig(coin, size):
+    assert coin.is_real
+    values, vectors = spectral._grid_eigensystems(coin, size)
+    # mirrored rows are re-sorted into the order of `_eigensystems`
+    assert np.array_equal(spectral._sorted(values, vectors)[0], values)
+    n, m = np.indices((size, size))
+    expected, columns = np.linalg.eig(block_matrix(coin, n, m, size))
+    # match each value to its nearest reference value, block by block
+    nearest = np.argmin(np.abs(values[..., :, None] - expected[..., None, :]), axis=-1)
+    matched = np.take_along_axis(expected, nearest, axis=-1)
+    assert np.abs(values - matched).max() < 1e-12
+    projectors = spectral_projectors(expected, columns)
+    matched_projectors = np.take_along_axis(projectors, nearest[..., None, None], axis=-3)
+    assert np.abs(spectral_projectors(values, vectors) - matched_projectors).max() < 1e-12
+    # the clustered spectrum has the multiplicities of the full-grid reference
+    centres, labels = cluster_labels(expected.ravel())
+    clusters = SpectralDecomposition.build(coin, size).clusters
+    assert [c.multiplicity for c in clusters] == np.bincount(labels).tolist()
+    assert np.abs(np.array([c.value for c in clusters]) - centres).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "coin", [grover_coin(), symmetric_family(0.3), haar_coin()], ids=["grover", "a4:0.3", "haar"]
+)
+@pytest.mark.parametrize("size", [9, 21])
+def test_evolve_spectral_keeps_norm_over_a_million_steps(coin, size):
+    # the unimodular phase table keeps the drift inside check_norm's limit
+    state = evolve_spectral(pure_state(size, "R"), coin, 10 ** 6)
+    assert state.t == 10 ** 6
+    check_norm(state.amplitudes, 1.0, coin, 10 ** 6)
+
+
+@pytest.mark.parametrize("size", [9, 21])
+def test_evolve_spectral_norm_guard_allows_rounding_that_grows_with_t(size):
+    # the drift grows linearly in t (4.8e-9 at N=9, t=1e8), past NORM_TOL but inside the guard
+    state = evolve_spectral(pure_state(size, "R"), grover_coin(), 10 ** 8)
+    assert state.t == 10 ** 8
+    with pytest.raises(ConsistencyError, match="norm drifted"):
+        check_norm(state.amplitudes, 1.0, grover_coin(), 10 ** 8)
+    # once rounding blows the powers up (norm^2 ~ 1e59 at N=9), the guard raises
+    with pytest.raises(ConsistencyError, match="norm drifted"):
+        evolve_spectral(pure_state(size, "R"), grover_coin(), 10 ** 18)
 
 
 @pytest.mark.parametrize("t", [20, 5000])
