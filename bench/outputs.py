@@ -16,7 +16,9 @@ with an earlier run, for instance of the parent commit:
     python3 bench/outputs.py OUT.json --against BASE.json
 
 prints every job whose exit code or digests differ from BASE.json, or
-that is new or missing there.
+that is new or missing there, and ends with a tally of the jobs that
+differ, by job kind and coin, split into those whose stdout and those
+whose written file moved.
 
 The exit status is 1 when any job exited non-zero or, with --against,
 when any job differs, is new or is missing; OUT.json is written first.
@@ -124,6 +126,33 @@ def differences(base: list, records: list) -> list[str]:
     return lines
 
 
+def kind_and_coin(job: str) -> str:
+    """A job name's kind and coin, as `kind/coin`; `kind` alone for the coinless jobs."""
+    parts = job.split("/")
+    if parts[0] == "simulate":  # simulate/BACKEND/COIN/...
+        return f"simulate-{parts[1]}/{parts[2]}"
+    if parts[0] in ("timeavg-limit", "scan-alpha"):
+        return parts[0]
+    return f"{parts[0]}/{parts[1]}"
+
+
+def tally(base: list, records: list) -> list[str]:
+    """The jobs that differ, counted by kind and coin, with how many moved stdout and file."""
+    before = {record["job"]: record for record in base}
+    counts = {}
+    for record in records:
+        old = before.get(record["job"])
+        if old is None or old == record:
+            continue
+        row = counts.setdefault(kind_and_coin(record["job"]), [0, 0, 0])
+        row[0] += 1
+        row[1] += record["stdout_sha256"] != old["stdout_sha256"]
+        row[2] += record["file_sha256"] != old["file_sha256"]
+    totals = [sum(column) for column in zip(*counts.values())] or [0, 0, 0]
+    return [f"{group}: {jobs} jobs, {stdout} stdout, {file} file"
+            for group, (jobs, stdout, file) in sorted(counts.items()) + [("total", totals)]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=pathlib.Path, help="JSON file to write")
@@ -155,8 +184,10 @@ def main(argv=None) -> int:
     print(f"{len(records)} jobs, {failed} non-zero exits; wrote {args.out}")
     if args.against is None:
         return 1 if failed else 0
-    changed = differences(json.loads(args.against.read_text())["jobs"], records)
-    print("\n".join(changed + [f"{len(changed)} jobs differ from {args.against}"]))
+    base = json.loads(args.against.read_text())["jobs"]
+    changed = differences(base, records)
+    print("\n".join(changed + [f"{len(changed)} jobs differ from {args.against}"]
+                    + tally(base, records)))
     return 1 if failed or changed else 0
 
 

@@ -1,7 +1,7 @@
 """
 The timed paths of `perfbench/scaling.py`, direct evolution to t = N
 under the a1 coin and a Haar coin at scaling's lattice sizes, two long
-direct trajectories, two spectral propagations and three eigensolve-bound
+direct trajectories, two spectral propagations and four eigensolve-bound
 exact paths at N = 101, 201 and 301, written with the host description
 to one BENCH_<seq>.json.
 
@@ -51,7 +51,8 @@ LARGE = (101, 201, 301)
 
 def trajectory_paths(lattice):
     """`lattice`: the sizes at which scaling times evolve(grover, t=N)."""
-    grover, a1, pure_r = qw.grover_coin(), qw.a1_coin(), qw.InitialSpec.pure("R")
+    grover, a1, a2 = qw.grover_coin(), qw.a1_coin(), qw.a2_coin()
+    pure_r = qw.InitialSpec.pure("R")
     haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
     return [
         ("evolve(a1, t=N)", lattice, lambda n: qw.evolve(qw.pure_state(n, "R"), a1, n)),
@@ -66,6 +67,8 @@ def trajectory_paths(lattice):
          lambda n: qw.evolve_spectral(qw.pure_state(n, "R"), grover, SPECTRAL_STEPS)),
         ("exact_time_average(grover, R, all), large N", LARGE,
          lambda n: qw.exact_time_average(grover, pure_r, n)),
+        ("exact_time_average(a2, R, all), large N", LARGE,
+         lambda n: qw.exact_time_average(a2, pure_r, n)),
         ("origin_coefficients(grover, R), large N", LARGE,
          lambda n: qw.origin_coefficients(grover, pure_r, n)),
         ("localization_predictor(a1), large N", LARGE,

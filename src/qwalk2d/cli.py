@@ -128,10 +128,16 @@ def parse_initial(text: str) -> InitialSpec:
 
 #: Default time horizon of `timeavg --method empirical`.
 EMPIRICAL_SAMPLES = 20000
+#: Largest `--n`.  One state takes 64 N^2 bytes and the eigenvector stack
+#: of the exact commands 256 N^2; with their coefficient and clustering
+#: arrays those peak near 950 N^2 bytes, about 1 GB at N = 1001.
+MAX_N = 1001
 
 
 def _odd_size(value: str) -> int:
     size = int(value)
+    if size > MAX_N:
+        raise argparse.ArgumentTypeError(f"lattice size {size} exceeds the limit {MAX_N}")
     try:
         return _check_size(size)
     except ValueError as exc:

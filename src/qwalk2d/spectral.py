@@ -31,6 +31,7 @@ through projectors, never individual vectors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -97,6 +98,71 @@ def block_matrix(coin: Coin, n, m, size: int) -> np.ndarray:
     return momentum_phases(n, m, size)[..., :, None] * coin.entries
 
 
+#: The eight lattice maps g of the momentum torus as (swap, s_n, s_m):
+#: g(n, m) = (s_n x, s_m y) with (x, y) = (m, n) if swap else (n, m).  The
+#: identity comes first and -1, (n, m) -> (-n, -m), fourth.
+_LATTICE_MAPS = [(swap, sn, sm) for swap in (0, 1) for sn in (1, -1) for sm in (1, -1)]
+_MINUS_ONE = 3
+#: Row g is the inverse of the permutation pi_g with momentum_phases(g(n, m))
+#: = momentum_phases(n, m)[pi_g].  The tables here are written out or built
+#: from Python lists: computed by numpy's argsort and meshgrid at import,
+#: they raised the peak RSS of every run by 0.5 MiB.
+_MAP_INVERSES = np.array([[0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 2, 3], [1, 0, 3, 2],
+                          [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
+#: Row g holds the flat indices that read P_g^T A P_g off a coin's raveled entries A.
+_MAP_ENTRIES = np.array([[4 * i + j for i in row for j in row] for row in _MAP_INVERSES.tolist()])
+#: The 64 phase vectors phi in {1, i, -1, -i}^4 with phi_0 = 1, and their
+#: raveled outer products phi_i conj(phi_j).
+_UNIT_PHASES = np.array([(1, *phi) for phi in itertools.product((1, 1j, -1, -1j), repeat=3)])
+_UNIT_OUTERS = np.array(
+    [[a * b.conjugate() for a in phi for b in phi] for phi in _UNIT_PHASES.tolist()]
+)
+
+
+def _coin_symmetries(coin: Coin) -> list[tuple[int, np.ndarray, bool]]:
+    """
+    The coin's symmetry group on the momentum grid, as elements
+    (g, phi, conjugates): an index into `_LATTICE_MAPS`, a phase vector and
+    whether the element conjugates.  The identity comes first.
+
+    A lattice map g is an element when P_g diag(phi) A diag(phi)^-1 P_g^T
+    equals the coin A exactly for some phi in {1, i, -1, -i}^4, with
+    (P_g x)_i = x[pi_g(i)]; then H(g k) = S H(k) S^-1 for S = P_g diag(phi),
+    bit for bit, because multiplying by those units is exact.  A real coin
+    also has, for each such g, the conjugating element k -> -g k, under
+    which H(-g k) = conj(S H(k) S^-1) (the phase table is exactly
+    conjugate-symmetric); they are left out when -1 is a map, because they
+    then join no new blocks.
+    """
+    entries = coin.entries.ravel()
+    holds = ~(_UNIT_OUTERS[:, None] * entries != entries[_MAP_ENTRIES]).any(axis=-1)
+    maps = np.flatnonzero(holds.any(axis=0)).tolist()
+    phases = _UNIT_PHASES[holds[:, maps].argmax(axis=0)]
+    elements = [(g, phi, False) for g, phi in zip(maps, phases)]
+    if coin.is_real and _MINUS_ONE not in maps:
+        elements += [(g, phi, True) for g, phi, _ in elements]
+    return elements
+
+
+def _orbits(elements, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """
+    For every block, by flat index n N + m: the flat index of its orbit's
+    representative under the group `elements`, the orbit's smallest, and
+    the index of the first element that takes the block there.
+    """
+    n, m = np.divmod(np.arange(size * size), size)
+    rep = np.arange(size * size)
+    via = np.zeros(size * size, dtype=np.intp)
+    for e, (g, _, conjugates) in enumerate(elements[1:], 1):
+        swap, sn, sm = _LATTICE_MAPS[g]
+        x, y = (m, n) if swap else (n, m)
+        sign = -1 if conjugates else 1
+        image = (sign * sn * x % size) * size + sign * sm * y % size
+        smaller = image < rep
+        rep[smaller], via[smaller] = image[smaller], e
+    return rep, via
+
+
 def cluster_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     Group unimodular values equal within DEGENERACY_TOL.
@@ -147,8 +213,8 @@ def _sorted(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
 def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     Diagonalize the blocks H(n, m) over broadcast momentum arrays with one
-    eig call: the whole grid for a complex coin, half of it for a real coin
-    (`_grid_eigensystems`), one block for `build_block`.
+    eig call: the orbit representatives of `_grid_eigensystems` (the whole
+    grid for a coin with no symmetry), one block for `build_block`.
 
     Returns the eigenvalues (..., 4), sorted within each block like the
     centres of `cluster_labels`, and the paired unit eigenvector columns
@@ -195,26 +261,40 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _grid_eigensystems(coin: Coin, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     `_eigensystems` of all N^2 blocks, as (N, N, 4) values and (N, N, 4, 4)
-    vectors.  A real coin's block (-n, -m) is the exact conjugate of block
-    (n, m) (see `momentum_phases`), so only rows n = 0..(N-1)/2 are
-    diagonalized: row N - n is the conjugate of row n read at columns
-    -m mod N, re-sorted.  Conjugation keeps the magnitude of every residual,
-    so the checks on the diagonalized rows cover the filled ones.  A
-    complex coin is diagonalized on the full grid.
+    vectors, diagonalizing one block per orbit of the coin's symmetry group.
+
+    Each block k is filled from the representative of its orbit under
+    `_coin_symmetries` (see `_orbits`) through the element (g, phi) that
+    takes k there: V(k) = diag(phi)^-1 P_g^T V(rep) with the values copied,
+    or, for a conjugating element, the same of conj(V(rep)) with the values
+    conjugated and re-sorted.  Permuting rows and multiplying them by +-1,
+    +-i is exact, so the residual and unitarity checks of `_eigensystems`
+    on the representatives cover every block.  That is (N+1)(N+3)/8 blocks
+    for grover, ((N+1)/2)^2 for a1, a2 and a4:p and (N^2+1)/2 for a real
+    coin with no lattice symmetry; a complex coin with none is diagonalized
+    on the full grid, with no orbit table.
     """
     momenta = np.arange(_check_size(size))
-    if not coin.is_real:
+    elements = _coin_symmetries(coin)
+    if len(elements) == 1:
         return _eigensystems(coin, momenta[:, None], momenta, size)
-    half = (size + 1) // 2
-    values = np.empty((size, size, 4), dtype=np.complex128)
-    vectors = np.empty((size, size, 4, 4), dtype=np.complex128)
-    values[:half], vectors[:half] = _eigensystems(coin, momenta[:half, None], momenta, size)
-    mirror = -momenta % size
-    for n in range(1, half):
-        values[size - n], vectors[size - n] = _sorted(
-            values[n, mirror].conj(), vectors[n, mirror].conj()
-        )
-    return values, vectors
+    rep, via = _orbits(elements, size)
+    solved = np.flatnonzero(via == 0)
+    rep_values, rep_vectors = _eigensystems(coin, *np.divmod(solved, size), size)
+    slot = np.empty(size * size, dtype=np.intp)
+    slot[solved] = np.arange(solved.size)
+    values = np.empty((size * size, 4), dtype=np.complex128)
+    vectors = np.empty((size * size, 4, 4), dtype=np.complex128)
+    for e, (g, phi, conjugates) in enumerate(elements):
+        blocks = np.flatnonzero(via == e)
+        source = slot[rep[blocks]]
+        filled = rep_vectors[source[:, None], _MAP_INVERSES[g]]
+        filled *= (phi if conjugates else phi.conj())[:, None]
+        if conjugates:
+            values[blocks], vectors[blocks] = _sorted(rep_values[source].conj(), filled.conj())
+        else:
+            values[blocks], vectors[blocks] = rep_values[source], filled
+    return values.reshape(size, size, 4), vectors.reshape(size, size, 4, 4)
 
 
 @dataclass(frozen=True)

@@ -350,6 +350,25 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "timeavg", "predict"])
+def test_size_above_the_budget_exits_2_before_allocating(command, tmp_path, capsys, monkeypatch):
+    # the parser refuses it: no state is built and no block is diagonalized
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a command ran past the size check")
+
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, unreachable))
+    argv = [command, "--coin", "grover", "--n", str(cli.MAX_N + 2)]
+    if command == "simulate":
+        argv += ["--steps", "1", "--out", str(tmp_path / "grid.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"exceeds the limit {cli.MAX_N}" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+    argv[argv.index("--n") + 1] = str(cli.MAX_N)
+    assert cli.build_parser().parse_args(argv).n == cli.MAX_N
+
+
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
 def test_negative_steps_exit_2(backend, tmp_path, capsys):
     # each backend checks its own step count and names it in the same words

@@ -46,6 +46,24 @@ def haar_coin(seed: int = 11):
     return custom_coin(q * np.exp(-1j * np.angle(np.diag(r)))[None, :], label="haar")
 
 
+def orthogonal_coin(seed: int = 5):
+    """A real orthogonal coin with no lattice symmetry."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+    return custom_coin(q, label="orthogonal")
+
+
+def complex_grover():
+    """The grover coin times e^{0.3 i}: complex, with every lattice symmetry of grover."""
+    return custom_coin(grover_coin().entries * np.exp(0.3j), label="complex-grover")
+
+
+#: Every coin class of the symmetry fold: four real coins with lattice
+#: symmetries, a real coin without, a complex coin with and one without.
+FOLD_COINS = [grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.3), orthogonal_coin(),
+              haar_coin(), complex_grover()]
+FOLD_IDS = ["grover", "a1", "a2", "a4:0.3", "orthogonal", "haar", "complex-grover"]
+
+
 def multiset_gap(a, b):
     """Largest distance in an optimal greedy matching of two 4-value multisets."""
     pool = list(a)
@@ -735,12 +753,11 @@ def test_kernel_checks_raise_spectral_error(monkeypatch, perturb, message):
 
 
 @pytest.mark.parametrize(
-    "coin,matrices",
-    [(grover_coin(), 45), (a1_coin(), 45), (haar_coin(), 81)],
-    ids=["grover", "a1", "haar"],
+    "coin,matrices", list(zip(FOLD_COINS, [15, 25, 25, 25, 41, 81, 15])), ids=FOLD_IDS
 )
 def test_origin_coefficients_diagonalize_each_block_once(coin, matrices, linalg_counts):
-    # a real coin's rows 5..8 are the conjugates of rows 4..1: 5 of 9 rows are diagonalized
+    # one block per symmetry orbit at N=9: (N+1)(N+3)/8 for the full lattice group,
+    # ((N+1)/2)^2 for four elements, (N^2+1)/2 for k <-> -k alone, N^2 for none
     origin_coefficients(coin, InitialSpec.pure("R"), 9)
     assert linalg_counts["eig"] == matrices
 
@@ -751,15 +768,11 @@ def spectral_projectors(values, vectors):
     return np.einsum("...ik,...lk,...kj->...lij", vectors, close, np.linalg.inv(vectors))
 
 
-@pytest.mark.parametrize(
-    "coin", [grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.3)],
-    ids=["grover", "a1", "a2", "a4:0.3"],
-)
+@pytest.mark.parametrize("coin", FOLD_COINS, ids=FOLD_IDS)
 @pytest.mark.parametrize("size", range(3, 22, 2))
 def test_half_grid_eigensystems_match_full_grid_eig(coin, size):
-    assert coin.is_real
     values, vectors = spectral._grid_eigensystems(coin, size)
-    # mirrored rows are re-sorted into the order of `_eigensystems`
+    # filled blocks keep the order of `_eigensystems`, conjugated ones re-sorted
     assert np.array_equal(spectral._sorted(values, vectors)[0], values)
     n, m = np.indices((size, size))
     expected, columns = np.linalg.eig(block_matrix(coin, n, m, size))
@@ -775,6 +788,81 @@ def test_half_grid_eigensystems_match_full_grid_eig(coin, size):
     clusters = SpectralDecomposition.build(coin, size).clusters
     assert [c.multiplicity for c in clusters] == np.bincount(labels).tolist()
     assert np.abs(np.array([c.value for c in clusters]) - centres).max() < 1e-12
+
+
+@pytest.mark.parametrize("coin", FOLD_COINS, ids=FOLD_IDS)
+@pytest.mark.parametrize("size", [3, 9, 21, 51])
+def test_folded_grid_passes_the_kernel_checks_on_every_block(coin, size):
+    values, vectors = spectral._grid_eigensystems(coin, size)
+    n, m = np.indices((size, size))
+    residual = block_matrix(coin, n, m, size) @ vectors - vectors * values[..., None, :]
+    unitarity = vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(4)
+    assert np.abs(residual).max() <= spectral.RESIDUAL_TOL
+    assert np.abs(unitarity).max() <= spectral.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize(
+    "coin,maps,phases",
+    [
+        (grover_coin(), [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1),
+                         (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)], None),
+        (complex_grover(), [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1),
+                            (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)], None),
+        (a2_coin(), [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)], None),
+        (symmetric_family(0.3), [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)], None),
+        (a1_coin(), [(0, 1, 1), (0, -1, 1)], [[1, 1, 1, 1], [1, 1, -1, 1]]),
+        (orthogonal_coin(), [(0, 1, 1)], [[1, 1, 1, 1]]),
+        (haar_coin(), [(0, 1, 1)], [[1, 1, 1, 1]]),
+    ],
+    ids=["grover", "complex-grover", "a2", "a4:0.3", "a1", "orthogonal", "haar"],
+)
+def test_coin_symmetries_are_the_expected_groups(coin, maps, phases):
+    elements = spectral._coin_symmetries(coin)
+    unitary = [(g, phi) for g, phi, conjugates in elements if not conjugates]
+    assert [spectral._LATTICE_MAPS[g] for g, _ in unitary] == maps
+    if phases is not None:
+        assert np.array_equal([phi for _, phi in unitary], phases)
+    # a real coin adds k -> -g k with conjugation, unless -1 is a lattice map already
+    conjugating = [(g, phi) for g, phi, conjugates in elements if conjugates]
+    expected = unitary if coin.is_real and (0, -1, -1) not in maps else []
+    assert len(conjugating) == len(expected)
+    assert all(g == h and np.array_equal(phi, psi)
+               for (g, phi), (h, psi) in zip(conjugating, expected))
+    # each map permutes the phases by pi_g, and is an exact similarity of the blocks:
+    # H(g k) = S H(k) S^-1 with S = P_g diag(phi)
+    size = 21
+    n, m = np.indices((size, size))
+    blocks = block_matrix(coin, n, m, size)
+    for g, phi in unitary:
+        swap, sn, sm = spectral._LATTICE_MAPS[g]
+        x, y = (m, n) if swap else (n, m)
+        pi = np.argsort(spectral._MAP_INVERSES[g])
+        assert np.array_equal(momentum_phases(sn * x, sm * y, size),
+                              momentum_phases(n, m, size)[..., pi])
+        similar = (phi[:, None] * blocks * phi.conj())[..., pi[:, None], pi]
+        assert np.array_equal(block_matrix(coin, sn * x, sm * y, size), similar)
+
+
+@pytest.mark.parametrize("size", [3, 5, 9, 21, 31])
+def test_grover_fold_orbits_are_the_degeneracy_orbits(size):
+    # two independent constructions of grover's orbits: the fold's group search and the
+    # closed-form orbit table.  The table splits each diagonal D4 orbit in two, {(a, a),
+    # (a, -a)} and {(-a, -a), (-a, a)}, because l3 and l4 trade places under k -> -k; join
+    # every table orbit with its image under -1 and the two partitions are equal.
+    rep = spectral._orbits(spectral._coin_symmetries(grover_coin()), size)[0]
+    labels = spectral._orbit_labels(size)[1].ravel()
+    n, m = np.divmod(np.arange(size * size), size)
+    mirrored = labels[(-n % size) * size + (-m % size)]
+    joined = np.minimum(labels, mirrored)
+
+    def blocks(partition):
+        return {frozenset(np.flatnonzero(partition == p).tolist()) for p in np.unique(partition)}
+
+    assert blocks(rep) == blocks(joined)
+    assert len(blocks(rep)) == (size + 1) * (size + 3) // 8
+    # -1 joins two table orbits exactly on the diagonals
+    diagonal = (n == m) | (n == -m % size)
+    assert np.array_equal(labels != mirrored, diagonal & (n > 0))
 
 
 @pytest.mark.parametrize(
