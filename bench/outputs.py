@@ -88,6 +88,10 @@ def jobs(haar: str, custom: str, grover_file: str):
             yield (f"simulate/direct/{coin}/{init_name}/N201/t200/{fmt}",
                    ["simulate", "--coin", coin, "--n", "201", "--steps", "200",
                     "--initial", initial, "--format", fmt], fmt)
+    # the complex coin product at a size that splits the lattice rows into bands
+    yield ("simulate/direct/haar/custom/N201/t200/csv",
+           ["simulate", "--coin", haar, "--n", "201", "--steps", "200",
+            "--initial", custom, "--format", "csv"], "csv")
     yield ("timeavg-empirical/grover/R/T20000/N21",
            ["timeavg", "--method", "empirical", "--coin", "grover", "--n", "21",
             "--initial", "R", "--samples", "20000"], "json")

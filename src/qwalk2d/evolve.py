@@ -12,12 +12,25 @@ multiplies float64 views of the buffers, rows (re0, im0, ..., re3, im3),
 by the real 8 x 8 matrix kron(C^T, I2): the complex product's bits at
 half its arithmetic.  A complex coin keeps the complex product, since
 its real 8 x 8 form differs from it by up to one ulp.
+
+Both the product and the gather work lattice row by lattice row, and
+both release the GIL, so `evolve` splits the rows into contiguous bands,
+one thread per CPU the process may run on, each band at least
+MIN_BAND_ROWS rows.  Every step, each band mixes its own rows, waits at
+a barrier for the others, gathers its own rows and waits again; the
+result is bit-identical to one thread's.  On 2 CPUs two bands break
+even near N = 120 and take 0.6 times the serial time at N = 201 and 301,
+while at N = 31 a second band is 25 times slower: hence the floor.
+There is no setting; smaller lattices, and `trajectory`, run serially.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +41,29 @@ __all__ = ["evolve", "step"]
 
 #: Displacement (dx, dy) applied to each chirality component, in (R, L, U, D) order.
 SHIFTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+#: Fewest lattice rows per band of `evolve` (see the module docstring).
+MIN_BAND_ROWS = 64
 
 
-def trajectory(state: WalkState, coin: Coin):
+class _Stepper(NamedTuple):
     """
-    Yield the amplitudes at t = state.t, state.t + 1, ...: always the same
-    (N, N, 4) buffer, advanced one step in place between yields.  The
-    input state is copied, never mutated.
+    The buffers and gather index of one evolution.  One step is
+    `np.matmul(source, gate, out=target)` and then
+    `mixed_flat.take(index, out=flat, mode="wrap")`; both act lattice row
+    by lattice row, so a band of rows can take its share of each alone.
     """
+
+    amplitudes: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    gate: np.ndarray
+    flat: np.ndarray
+    mixed_flat: np.ndarray
+    index: np.ndarray
+
+
+def _stepper(state: WalkState, coin: Coin) -> _Stepper:
+    """The stepper of `coin` starting from a copy of the state's amplitudes."""
     amplitudes = state.amplitudes.copy()
     mixed = np.empty_like(amplitudes)
     n, (dx, dy) = state.n, np.array(SHIFTS).T
@@ -44,13 +72,23 @@ def trajectory(state: WalkState, coin: Coin):
     index = (x - dx) % n * n + (y - dy) % n
     index *= 4
     index += np.arange(4)
-    flat, mixed_flat, index = amplitudes.reshape(-1), mixed.reshape(-1), index.reshape(-1)
     source, target, gate = amplitudes, mixed, coin.entries.T
     if coin.is_real:
         # rows (re0, im0, ..., re3, im3) times kron(C^T, I2): bit-identical to the complex
         # product at half its arithmetic; a complex coin's real form moves last bits (1 ulp)
         source, target = amplitudes.view(np.float64), mixed.view(np.float64)
         gate = np.kron(gate.real, np.eye(2))
+    return _Stepper(amplitudes, source, target, gate, amplitudes.reshape(-1),
+                    mixed.reshape(-1), index.reshape(-1))
+
+
+def trajectory(state: WalkState, coin: Coin):
+    """
+    Yield the amplitudes at t = state.t, state.t + 1, ...: always the same
+    (N, N, 4) buffer, advanced one step in place between yields.  The
+    input state is copied, never mutated.
+    """
+    amplitudes, source, target, gate, flat, mixed_flat, index = _stepper(state, coin)
     while True:
         yield amplitudes
         # N stacked (N, 4) @ (4, 4) products (8 x 8 real): one (N^2, 4) product is large
@@ -58,6 +96,74 @@ def trajectory(state: WalkState, coin: Coin):
         np.matmul(source, gate, out=target)
         # every index is in range; "wrap" only spares take() the output copy "raise" makes
         mixed_flat.take(index, out=flat, mode="wrap")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _band_steps(stepper: _Stepper, lo: int, hi: int, steps: int, barrier) -> None:
+    """
+    Advance lattice rows lo..hi-1 by `steps` steps in lockstep with the
+    other bands: the coin on the band's rows, a barrier (the shift reads
+    the neighbouring bands' mixed rows), the shift into the band's rows,
+    and a barrier (the next coin overwrites mixed rows that a neighbour's
+    shift may still read).
+    """
+    width = stepper.flat.size // stepper.source.shape[0]
+    source, target = stepper.source[lo:hi], stepper.target[lo:hi]
+    flat, index = stepper.flat[lo * width:hi * width], stepper.index[lo * width:hi * width]
+    gate, mixed_flat = stepper.gate, stepper.mixed_flat
+    for _ in range(steps):
+        np.matmul(source, gate, out=target)
+        barrier.wait()
+        mixed_flat.take(index, out=flat, mode="wrap")
+        barrier.wait()
+
+
+def _advance(stepper: _Stepper, steps: int, parts: int) -> np.ndarray:
+    """
+    Return the stepper's amplitudes advanced by `steps` steps, with the
+    lattice rows split into `parts` (at most N) contiguous bands, one
+    thread each; the calling thread works the first band.  A band that
+    raises aborts the barrier, which stops the others at their next wait,
+    and its error is raised here once every thread has been joined.
+    """
+    n = stepper.source.shape[0]
+    parts = min(parts, n)
+    bounds = [n * k // parts for k in range(parts + 1)]
+    barrier = threading.Barrier(parts)
+    errors = []
+
+    def band(lo, hi):
+        try:
+            _band_steps(stepper, lo, hi, steps, barrier)
+        except BaseException as error:
+            errors.append(error)
+            barrier.abort()
+
+    started = []
+    try:
+        for k in range(1, parts):
+            thread = threading.Thread(target=band, args=bounds[k:k + 2], daemon=True)
+            thread.start()
+            started.append(thread)
+        band(*bounds[:2])
+    except BaseException:  # a thread failed to start: release those waiting for it
+        barrier.abort()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        # the first band to fail broke the barrier for the others
+        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
+                   errors[0])
+    return stepper.amplitudes
 
 
 def check_norm(
@@ -99,9 +205,14 @@ def step(state: WalkState, coin: Coin) -> WalkState:
     return evolve(state, coin, 1)
 
 
-def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
+def evolve(state: WalkState, coin: Coin, steps: int, *, _parts: int | None = None) -> WalkState:
     """
     Advance the walk by `steps` steps; steps = 0 returns the input.
+
+    The lattice rows are split into min(CPUs, N // MIN_BAND_ROWS) bands,
+    one thread each (see the module docstring); one band runs the serial
+    loop of `trajectory`.  `_parts` sets the band count in tests.  No
+    thread outlives the call, whether it returns or raises.
 
     Raises ConsistencyError when the final norm drifts from the input's
     by more than `check_norm` allows.
@@ -112,6 +223,12 @@ def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
     if steps == 0:
         return state
     start_norm_sq = state.norm_sq()
-    amplitudes = next(islice(trajectory(state, coin), steps, None))
+    parts = min(_cpu_count(), state.n // MIN_BAND_ROWS) if _parts is None else _parts
+    if parts > 1:
+        # keeps only the amplitudes, as the serial loop does, so the gather index and
+        # the mixing buffer are freed before check_norm's temporaries
+        amplitudes = _advance(_stepper(state, coin), steps, parts)
+    else:
+        amplitudes = next(islice(trajectory(state, coin), steps, None))
     check_norm(amplitudes, start_norm_sq, coin, steps)
     return WalkState(amplitudes, state.t + steps, validate=False)

@@ -32,7 +32,6 @@ through projectors, never individual vectors.
 from __future__ import annotations
 
 import itertools
-import json
 import pathlib
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .coins import Coin, grover_coin
 from .evolve import check_norm
-from .state import InitialSpec, WalkState, _check_size
+from .state import InitialSpec, WalkState, _check_size, _json_parts
 
 __all__ = [
     "MomentumBlock",
@@ -466,8 +465,10 @@ class SpectralDecomposition:
     def max_multiplicity(self) -> int:
         return max(cluster.multiplicity for cluster in self.clusters)
 
+    def _ordered(self) -> list[EigenvalueCluster]:
+        return sorted(self.clusters, key=lambda c: -c.multiplicity)
+
     def to_payload(self) -> dict:
-        ordered = sorted(self.clusters, key=lambda c: -c.multiplicity)
         return {
             "coin": self.coin.label,
             "N": self.size,
@@ -476,12 +477,23 @@ class SpectralDecomposition:
                     "value": [cluster.value.real, cluster.value.imag],
                     "multiplicity": cluster.multiplicity,
                 }
-                for cluster in ordered
+                for cluster in self._ordered()
             ],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        """
+        The bytes of `json.dumps(self.to_payload(), indent=2, sort_keys=True)`
+        plus a newline, with the clusters formatted by one row template:
+        `indent` turns off json's C encoder.
+        """
+        ordered = self._ordered()
+        values = tuple(itertools.chain.from_iterable(
+            (c.multiplicity, c.value.real, c.value.imag) for c in ordered))
+        return "".join(_json_parts(
+            {"coin": self.coin.label, "N": self.size}, "clusters",
+            '    {\n      "multiplicity": %d,\n      "value": [\n        %r,\n        %r\n'
+            "      ]\n    }", len(ordered), values))
 
     def write_json(self, path) -> None:
         pathlib.Path(path).write_text(self.to_json())

@@ -10,7 +10,6 @@ turns periodic shifts into plain array rolls.
 from __future__ import annotations
 
 import json
-import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,11 +215,34 @@ def origin_superposition(n: int, spec: InitialSpec) -> WalkState:
     return WalkState(amplitudes, 0)
 
 
-def _grid_columns(state: WalkState) -> tuple[list, list, list]:
-    """x, y and p of every site, x-major in centered coordinates, as Python lists."""
+def _grid_values(state: WalkState) -> tuple:
+    """x, y and p of every site, x-major in centered coordinates, as one flat tuple."""
     cs = coords(state.n)
-    return (np.repeat(cs, state.n).tolist(), np.tile(cs, state.n).tolist(),
-            state.probability_grid().ravel().tolist())
+    values = [None] * (3 * state.n ** 2)
+    values[0::3] = np.repeat(cs, state.n).tolist()
+    values[1::3] = np.tile(cs, state.n).tolist()
+    values[2::3] = state.probability_grid().ravel().tolist()
+    return tuple(values)
+
+
+def _json_parts(payload: dict, key: str, row: str, count: int, values: tuple) -> tuple:
+    """
+    The text of `json.dumps(payload, indent=2, sort_keys=True) + "\n"` in
+    three parts (head, rows, tail), where the top-level list payload[key]
+    holds `count` > 0 items, each written by the `%` template `row` (at an
+    indent of four spaces) from its share of the flat tuple `values`.
+    """
+    # json escapes newlines and quotes inside strings: only the placeholder's own line matches
+    head, tail = json.dumps({**payload, key: 0}, indent=2, sort_keys=True).split(
+        f'\n  "{key}": 0')
+    return f'{head}\n  "{key}": [\n', ",\n".join([row] * count) % values, f"\n  ]{tail}\n"
+
+
+def _write_parts(path, parts) -> None:
+    """Write the strings `parts` to `path` in turn, never joining them."""
+    with open(path, "w") as out:
+        for part in parts:
+            out.write(part)
 
 
 def write_grid_csv(state: WalkState, path) -> None:
@@ -229,8 +251,8 @@ def write_grid_csv(state: WalkState, path) -> None:
     site in centered coordinates, x-major, p formatted `%.17g`; every line
     ends in a newline.
     """
-    rows = "\n".join(map("%d,%d,%.17g".__mod__, zip(*_grid_columns(state))))
-    pathlib.Path(path).write_text(f"x,y,p\n{rows}\n")
+    rows = ("%d,%d,%.17g\n" * state.n ** 2) % _grid_values(state)
+    _write_parts(path, ("x,y,p\n", rows))
 
 
 def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = "") -> None:
@@ -241,9 +263,6 @@ def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = ""
     is written as its Python `repr` (what `json` writes for a finite float).
     """
     payload = {"coin": coin, "N": state.n, "t": state.t, "initial": initial,
-               "columns": ["x", "y", "p"], "rows": 0}
-    # json escapes newlines and quotes inside strings: only the placeholder's own line matches
-    head, tail = json.dumps(payload, indent=2, sort_keys=True).split('\n  "rows": 0,\n')
-    rows = ",\n".join(map("    [\n      %d,\n      %d,\n      %r\n    ]".__mod__,
-                          zip(*_grid_columns(state))))
-    pathlib.Path(path).write_text(f'{head}\n  "rows": [\n{rows}\n  ],\n{tail}\n')
+               "columns": ["x", "y", "p"]}
+    _write_parts(path, _json_parts(payload, "rows", "    [\n      %d,\n      %d,\n      %r\n    ]",
+                                   state.n ** 2, _grid_values(state)))

@@ -1,3 +1,7 @@
+import importlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +24,9 @@ from qwalk2d import (
     InitialSpec,
 )
 from qwalk2d import state as state_module, timeavg
+
+# the package re-exports `evolve` the function over `evolve` the module
+evolve_module = importlib.import_module("qwalk2d.evolve")
 
 
 def random_unitary_coin(seed: int):
@@ -84,6 +91,105 @@ def test_evolve_equals_roll_reference_bit_for_bit(coin, n):
     one = step(initial, coin)
     assert one.t == initial.t + 1
     assert np.array_equal(one.amplitudes, evolve(initial, coin, 1).amplitudes)
+
+
+# N = 3 gives one-row bands, and parts = 5 asks for more bands than N = 3 has rows
+@pytest.mark.parametrize("coin", KERNEL_COINS, ids=lambda c: c.label)
+@pytest.mark.parametrize("n", [3, 7, 21])
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_banded_evolve_equals_roll_reference_bit_for_bit(coin, n, parts):
+    initial = random_state(n, seed=n + 1)
+    expected = initial.amplitudes
+    for t in range(1, 7):
+        expected = reference_step(expected, coin)
+        if t in (1, 6):
+            got = evolve(initial, coin, t, _parts=parts)
+            assert got.t == initial.t + t
+            assert np.array_equal(got.amplitudes, expected)
+
+
+def test_band_count_follows_cpus_and_row_floor(monkeypatch):
+    seen = []
+    monkeypatch.setattr(evolve_module, "_advance",
+                        lambda stepper, steps, parts: seen.append(parts) or stepper.amplitudes)
+    monkeypatch.setattr(evolve_module, "_cpu_count", lambda: 4)
+    for n in (127, 129, 193, 301):
+        # the stepper never ran, so the state is the initial one and the norm holds
+        evolve(pure_state(n, "R"), grover_coin(), 1)
+    assert seen == [2, 3, 4]  # N = 127 has one band and takes the serial loop
+
+
+@pytest.mark.parametrize("n, parts", [(21, 3), (201, None)])
+def test_evolve_leaves_no_thread_behind(n, parts):
+    before = threading.active_count()
+    evolve(pure_state(n, "R"), grover_coin(), 5, _parts=parts)
+    assert threading.active_count() == before
+
+
+class PlantedError(RuntimeError):
+    pass
+
+
+def run_bounded(fn, timeout=30.0):
+    """fn() in a helper thread joined within `timeout` s: (finished, its error or None)."""
+    outcome = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as error:
+            outcome.append(error)
+        else:
+            outcome.append(None)
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    return not helper.is_alive(), outcome[0] if outcome else None
+
+
+def test_many_bands_under_fast_thread_switching_stay_bit_identical():
+    # more bands than cores, switching threads every microsecond: a missing or
+    # misplaced barrier lets a band read rows its neighbour has not finished
+    coin, initial = random_unitary_coin(3), random_state(21, seed=4)
+    want = evolve(initial, coin, 40, _parts=1).amplitudes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = []
+        finished, error = run_bounded(
+            lambda: got.extend(evolve(initial, coin, 40, _parts=7).amplitudes for _ in range(5)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert finished and error is None
+    assert all(np.array_equal(amplitudes, want) for amplitudes in got) and len(got) == 5
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_failing_band_raises_in_caller_and_joins_every_thread(monkeypatch, failing):
+    bands = evolve_module._band_steps
+
+    class FailingBarrier:
+        """Raises in band `failing` at its fifth wait, mid-run."""
+
+        def __init__(self, barrier, band):
+            self.barrier, self.band, self.waits = barrier, band, 0
+
+        def wait(self):
+            self.waits += 1
+            if self.band == failing and self.waits == 5:
+                raise PlantedError(f"band {failing}")
+            return self.barrier.wait()
+
+    def planted(stepper, lo, hi, steps, barrier):
+        bands(stepper, lo, hi, steps, FailingBarrier(barrier, lo // 7))
+
+    monkeypatch.setattr(evolve_module, "_band_steps", planted)
+    before = threading.active_count()
+    finished, error = run_bounded(lambda: evolve(pure_state(21, "R"), grover_coin(), 50, _parts=3))
+    assert finished, "evolve did not return after a band raised"
+    assert isinstance(error, PlantedError) and str(error) == f"band {failing}"
+    assert threading.active_count() == before
 
 
 def reference_empirical(initial, coin, horizon, site, parity):

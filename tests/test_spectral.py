@@ -938,6 +938,19 @@ def cluster_sequences(decomposition):
     )
 
 
+@pytest.mark.parametrize(
+    "coin",
+    [grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.3), haar_coin(101),
+     custom_coin(a1_coin().entries, label='say "hi" \\ caf\u00e9\n  "clusters": 0,\n')],
+    ids=["grover", "a1", "a2", "a4:0.3", "haar-101", "escaped-label"],
+)
+@pytest.mark.parametrize("size", [9, 21])
+def test_to_json_equals_json_dumps_of_payload(coin, size):
+    decomposition = SpectralDecomposition.build(coin, size)
+    want = json.dumps(decomposition.to_payload(), indent=2, sort_keys=True) + "\n"
+    assert decomposition.to_json() == want
+
+
 def test_block_eigenvalue_order_ignores_last_bit_of_real_part():
     # grover's l3, l4 share their real part in theory: l3 (Im < 0) comes first
     values = SpectralDecomposition.build(grover_coin(), 21).values

@@ -261,3 +261,21 @@ def test_writers_match_reference_on_random_amplitudes(
     amplitudes[rng.random(shape) < 0.2] = 0.0
     state = WalkState(amplitudes, t, validate=False)
     assert_writers_match_reference(state, tmp_path_factory.mktemp("grid"), label, label + "!")
+
+
+@pytest.mark.parametrize("n", [9, 201])
+def test_grid_writers_against_json_loads_and_row_formula(tmp_path, n):
+    rng = np.random.default_rng(n)
+    amplitudes = rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4))
+    state = WalkState(amplitudes / np.linalg.norm(amplitudes), 17)
+    grid, cs = state.probability_grid(), coords(n).tolist()
+    sites = [(x, y, float(grid[i, j])) for i, x in enumerate(cs) for j, y in enumerate(cs)]
+    write_grid_csv(state, tmp_path / "grid.csv")
+    lines = (tmp_path / "grid.csv").read_text().split("\n")
+    assert lines[0] == "x,y,p" and lines[-1] == ""
+    assert lines[1:-1] == ["%d,%d,%.17g" % site for site in sites]
+    write_grid_json(state, tmp_path / "grid.json", coin="haar", initial="R")
+    assert json.loads((tmp_path / "grid.json").read_text()) == {
+        "coin": "haar", "N": n, "t": 17, "initial": "R", "columns": ["x", "y", "p"],
+        "rows": [list(site) for site in sites],
+    }
