@@ -1,9 +1,10 @@
 """
 The timed paths of `perfbench/scaling.py`, direct evolution to t = N
 under the a1 coin and a Haar coin at scaling's lattice sizes, two long
-direct trajectories, two spectral propagations and four eigensolve-bound
-exact paths at N = 101, 201 and 301, written with the host description
-to one BENCH_<seq>.json.
+direct trajectories, two spectral propagations, four eigensolve-bound
+exact paths at N = 101, 201 and 301 and the exact average under the Haar
+coin at N = 17, 41 and 101, written with the host description to one
+BENCH_<seq>.json.
 
     python3 bench/trajectory.py SEQ --label TEXT
 
@@ -47,6 +48,9 @@ SPECTRAL_STEPS = 100000
 CALLS = 7
 #: Sizes of the exact paths whose time goes to the 4x4 eigensolves.
 LARGE = (101, 201, 301)
+#: Sizes of the Haar coin's exact average: the coin has no lattice symmetry, so
+#: every one of the N^2 blocks is diagonalized, and the time is all eigensolve.
+HAAR_EXACT = (17, 41, 101)
 
 
 def trajectory_paths(lattice):
@@ -73,6 +77,8 @@ def trajectory_paths(lattice):
          lambda n: qw.origin_coefficients(grover, pure_r, n)),
         ("localization_predictor(a1), large N", LARGE,
          lambda n: qw.localization_predictor(a1, n)),
+        ("exact_time_average(haar, R, all)", HAAR_EXACT,
+         lambda n: qw.exact_time_average(haar, pure_r, n)),
     ]
 
 

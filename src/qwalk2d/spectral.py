@@ -14,6 +14,20 @@ walk.  For the diffusion (grover) coin the whole eigensystem is available
 in closed form, and the strong degeneracy of the eigenvalues -1 and +1
 (multiplicities N^2 + 2 and N^2) is what produces localization.
 
+Numeric eigensystems
+--------------------
+Blocks are diagonalized by a Hermitian solver (`_unitary_eigh`).  For a
+unitary block H and a unit pole z that is not an eigenvalue, the Cayley
+transform K = i (z + H)(z - H)^-1 is Hermitian, with the eigenvectors of
+H: an eigenvalue l of H becomes cot((arg z - arg l) / 2).  The pole is
+the one of eight, e^(i (0.3 + k pi/4)), where |det(z - H)| is largest.
+Each eigenvalue lies within pi/8 of at most one of them, so at least four
+lie pi/8 or more from every eigenvalue: the chosen |det(z - H)| is at
+least (2 sin(pi/16))^4 ~ 0.023, and no eigenvalue is nearer the pole than
+0.023 / 2^3 ~ 2.9e-3.  The map l -> cot(...) is one to one off the pole,
+so a repeated eigenvalue of H is a repeated eigenvalue of K, and eigh's
+columns span its eigenspace orthonormally: no QR pass is needed.
+
 Closed forms for the diffusion coin
 -----------------------------------
 The grover coin is J/2 - I (J all ones), so with d the phases of block
@@ -69,6 +83,11 @@ CHUNK_BLOCKS = 1536
 #: a1, a2, a4:p and Haar coins at N = 3..101, t = 1e6..1e15), so 16 eps
 #: leaves a tenfold margin.
 POWER_ROUNDING = 16 * np.finfo(np.float64).eps
+#: Momentum blocks `_unitary_eigh` diagonalizes together: its powers of H and
+#: Hermitian matrices take about 2 KiB per block, so a chunk's stay near 0.5 MiB.
+EIGH_CHUNK = 256
+#: The candidate poles e^(i (0.3 + k pi/4)), k = 0..7, of `_unitary_eigh`, as a column.
+_POLES = np.exp(1j * (0.3 + np.pi / 4 * np.arange(8)))[:, None]
 
 
 class SpectralError(RuntimeError):
@@ -209,16 +228,68 @@ def _sorted(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
+def _unitary_eigh_chunk(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_unitary_eigh` of a (B, 4, 4) stack, worked batch-last."""
+    powers = np.empty((3, 4, 4, len(h)), dtype=np.complex128)  # H, H^2, H^3
+    powers[0] = h.transpose(1, 2, 0)
+    np.einsum("ijb,jkb->ikb", powers[0], powers[0], out=powers[1])
+    np.einsum("ijb,jkb->ikb", powers[1], powers[0], out=powers[2])
+    t1, t2, t3 = np.einsum("piib->pb", powers)
+    t4 = np.einsum("ijb,jib->b", powers[1], powers[1])
+    # p(z) = det(z - H) = z^4 - t1 z^3 + e2 z^2 - e3 z + e4, by Newton's identities
+    e2 = (t1 * t1 - t2) / 2
+    e3 = (e2 * t1 - t1 * t2 + t3) / 3
+    e4 = (e3 * t1 - e2 * t2 + t1 * t3 - t4) / 4
+    p = (((_POLES - t1) * _POLES + e2) * _POLES - e3) * _POLES + e4
+    z = _POLES[np.argmax(np.abs(p), axis=0), 0]
+    # q(z, H) = p(z) (z - H)^-1 = H^3 + a1 H^2 + a2 H + a3, by Horner's scheme
+    a1 = z - t1
+    a2 = z * a1 + e2
+    a3 = z * a2 - e3
+    scale = 1j * z / (z * a3 + e4)
+    cayley = np.einsum("pijb,pb->ijb", powers, np.stack([scale * a2, scale * a1, scale]))
+    diagonal = np.arange(4)
+    cayley[diagonal, diagonal] += scale * a3
+    cayley += cayley.conj().transpose(1, 0, 2)
+    vectors = np.linalg.eigh(cayley.transpose(2, 0, 1))[1]
+    return np.einsum("bij,bik,bkj->bj", vectors.conj(), h, vectors), vectors
+
+
+def _unitary_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Eigenvalues (..., 4) and orthonormal eigenvector columns (..., 4, 4) of
+    a stack of unitary 4x4 blocks, through a Hermitian solver, in chunks of
+    EIGH_CHUNK blocks.
+
+    Per block, p(z) = det(z - H) comes from the traces of H, H^2, H^3 and
+    H^4 by Newton's identities, and z is the pole of `_POLES` where |p(z)|
+    is largest (see the module docstring for its bound).  By
+    Cayley-Hamilton (z - H)^-1 = q(z, H) / p(z) with q cubic in H, so the
+    Cayley transform K = i (z + H)(z - H)^-1 = 2 i z q(z, H) / p(z) - i
+    needs no solve.  Its Hermitian part, M + M^H with M = i z q(z, H) / p(z),
+    goes to eigh, and the eigenvalues are the Rayleigh quotients
+    diag(V^H H V).
+    """
+    flat = h.reshape(-1, 4, 4)
+    values = np.empty(flat.shape[:-1], dtype=np.complex128)
+    vectors = np.empty_like(flat)
+    for start in range(0, len(flat), EIGH_CHUNK):
+        chunk = slice(start, start + EIGH_CHUNK)
+        values[chunk], vectors[chunk] = _unitary_eigh_chunk(flat[chunk])
+    return values.reshape(h.shape[:-1]), vectors.reshape(h.shape)
+
+
 def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
-    Diagonalize the blocks H(n, m) over broadcast momentum arrays with one
-    eig call: the orbit representatives of `_grid_eigensystems` (the whole
-    grid for a coin with no symmetry), one block for `build_block`.
+    Diagonalize the blocks H(n, m) over broadcast momentum arrays with
+    `_unitary_eigh`: the orbit representatives of `_grid_eigensystems`
+    (the whole grid for a coin with no symmetry), one block for
+    `build_block`.
 
     Returns the eigenvalues (..., 4), sorted within each block like the
     centres of `cluster_labels`, and the paired unit eigenvector columns
     (..., 4, 4).  Where an eigenvalue repeats within a block, its copies
-    are replaced by their mean and its columns are QR-orthonormalized, so
+    are replaced by their mean; its columns are already orthonormal, so
     every eigenvector matrix is unitary.
 
     Raises
@@ -230,7 +301,7 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
     bn, bm = np.broadcast_arrays(n, m)
     h = block_matrix(coin, n, m, size)
     try:
-        values, vectors = np.linalg.eig(h)
+        values, vectors = _unitary_eigh(h)
     except np.linalg.LinAlgError as exc:
         where = f"block ({bn}, {bm})" if bn.ndim == 0 else f"a stack of {bn.size} blocks"
         raise SpectralError(f"eigendecomposition failed for {where}: {exc}")
@@ -238,9 +309,6 @@ def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
     for b in map(tuple, np.argwhere(close.sum(axis=(-2, -1)) > 4)):
         centres, labels = cluster_labels(values[b])
         values[b] = centres[labels]
-        for label in np.flatnonzero(np.bincount(labels) > 1):
-            group = labels == label
-            vectors[b][:, group] = np.linalg.qr(vectors[b][:, group])[0]
     values, vectors = _sorted(values, vectors)
     checks = (
         ("eigenpair residual", h @ vectors - vectors * values[..., None, :]),
@@ -451,19 +519,15 @@ class SpectralDecomposition:
 
     def common_eigenvalues(self) -> tuple[complex, ...]:
         """Eigenvalues present in every momentum block."""
-        blocks = self.size ** 2
-        labels = self.labels.ravel()
-        # one entry per distinct (cluster, block) pair
-        pairs = np.unique(labels * blocks + np.arange(labels.size) // 4)
-        present = np.bincount(pairs // blocks, minlength=len(self.clusters))
-        return tuple(
-            cluster.value
-            for cluster, count in zip(self.clusters, present)
-            if count == blocks
-        )
+        labels = np.sort(self.labels.reshape(-1, 4), axis=-1)
+        # count each cluster once per block: at its first place in the block's sorted labels
+        first = np.ones(labels.shape, dtype=bool)
+        first[:, 1:] = labels[:, 1:] != labels[:, :-1]
+        present = np.bincount(labels[first], minlength=len(self.clusters))
+        return tuple(self.clusters[k].value for k in np.flatnonzero(present == self.size ** 2))
 
     def max_multiplicity(self) -> int:
-        return max(cluster.multiplicity for cluster in self.clusters)
+        return int(np.bincount(self.labels.ravel()).max())
 
     def _ordered(self) -> list[EigenvalueCluster]:
         return sorted(self.clusters, key=lambda c: -c.multiplicity)

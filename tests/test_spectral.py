@@ -721,18 +721,23 @@ def test_predictor_clusters_the_spectrum_once(monkeypatch):
 
 @pytest.fixture
 def linalg_counts(monkeypatch):
-    counts = {"eig": 0, "solve": 0}
-    eig, solve = np.linalg.eig, np.linalg.solve
+    counts = {"eig": 0, "eigh": 0, "solve": 0}
+    eig, eigh, solve = np.linalg.eig, np.linalg.eigh, np.linalg.solve
 
     def counting_eig(a):
         counts["eig"] += int(np.prod(np.shape(a)[:-2]))
         return eig(a)
+
+    def counting_eigh(a):
+        counts["eigh"] += int(np.prod(np.shape(a)[:-2]))
+        return eigh(a)
 
     def counting_solve(a, b):
         counts["solve"] += 1
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     return counts
 
@@ -746,8 +751,8 @@ def linalg_counts(monkeypatch):
     ids=["residual", "unitarity"],
 )
 def test_kernel_checks_raise_spectral_error(monkeypatch, perturb, message):
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: perturb(*eig(a)))
+    kernel = spectral._unitary_eigh
+    monkeypatch.setattr(spectral, "_unitary_eigh", lambda h: perturb(*kernel(h)))
     with pytest.raises(SpectralError, match=rf"{message} .* in block \(\d+, \d+\)"):
         SpectralDecomposition.build(a2_coin(), 5)
 
@@ -759,7 +764,99 @@ def test_origin_coefficients_diagonalize_each_block_once(coin, matrices, linalg_
     # one block per symmetry orbit at N=9: (N+1)(N+3)/8 for the full lattice group,
     # ((N+1)/2)^2 for four elements, (N^2+1)/2 for k <-> -k alone, N^2 for none
     origin_coefficients(coin, InitialSpec.pure("R"), 9)
-    assert linalg_counts["eig"] == matrices
+    assert linalg_counts["eigh"] == matrices
+    assert linalg_counts["eig"] == linalg_counts["solve"] == 0
+
+
+def unitary_with_eigenvalues(values, seed=7):
+    """A unitary Q diag(values) Q^H with a Haar-random eigenbasis Q."""
+    q = haar_coin(seed).entries
+    return q @ np.diag(values) @ q.conj().T
+
+
+def assert_eigensystem(h, values, vectors, tol=1e-13):
+    residual = h @ vectors - vectors * values[..., None, :]
+    unitarity = vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(4)
+    assert np.abs(residual).max() <= tol
+    assert np.abs(unitarity).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "coin,expected",
+    [(grover_coin(), [-1, -1, -1, 1]), (a2_coin(), [-1, -1, 1, 1]),
+     (symmetric_family(0.3), [-1, -1, -1, 1])],
+    ids=["grover", "a2", "a4:0.3"],
+)
+def test_kernel_orthonormalizes_exactly_degenerate_blocks(coin, expected):
+    # block (0, 0) is the coin itself; eigh's columns span each repeated eigenspace
+    # orthonormally, with no QR pass
+    values, vectors = spectral._eigensystems(coin, 0, 0, 9)
+    assert np.abs(values - expected).max() < 1e-14
+    # the copies of a repeated eigenvalue are replaced by their mean
+    assert len(set(values.tolist())) == 2
+    assert_eigensystem(coin.entries, values, vectors, tol=1e-14)
+
+
+@pytest.mark.parametrize("pole", range(8))
+@pytest.mark.parametrize("others", [(2.0, -2.5, 0.1), (2, 4, 6)], ids=["random", "poles"])
+def test_kernel_with_an_eigenvalue_on_a_candidate_pole(pole, others):
+    # `others` are angles, or with integers further poles k: the pole picked is one
+    # where det(z - H) is largest, never the one an eigenvalue sits on
+    poles = spectral._POLES[:, 0]
+    angles = [np.angle(poles[(pole + k) % 8]) if isinstance(k, int) else k for k in others]
+    values = np.exp(1j * np.array([np.angle(poles[pole]), *angles]))
+    h = unitary_with_eigenvalues(values)
+    got, vectors = spectral._unitary_eigh(h)
+    assert_eigensystem(h, got, vectors)
+    assert multiset_gap(got, values) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "gap,distinct", [(1e-13, 3), (2e-9, 4), (6e-10, None)], ids=["merged", "split", "between"]
+)
+def test_kernel_on_an_in_block_pair(gap, distinct):
+    # block (0, 0) is the coin itself.  Pairs within DEGENERACY_TOL merge into their mean;
+    # 6e-10 apart the mean misses both by 3e-10 > RESIDUAL_TOL, and the checks refuse it.
+    # Just past the tolerance the pair stays split, with orthonormal columns
+    values = np.exp(1j * np.array([0.7, 0.7 + gap, 2.5, -2.0]))
+    coin = custom_coin(unitary_with_eigenvalues(values))
+    if distinct is None:
+        with pytest.raises(SpectralError, match=r"eigenpair residual .* in block \(0, 0\)"):
+            spectral._eigensystems(coin, 0, 0, 9)
+        return
+    got, vectors = spectral._eigensystems(coin, 0, 0, 9)
+    assert_eigensystem(coin.entries, got, vectors, tol=1e-12)
+    assert len(cluster_labels(got)[0]) == distinct
+    assert multiset_gap(got, values) <= gap
+
+
+@pytest.mark.parametrize("coin", FOLD_COINS, ids=FOLD_IDS)
+def test_kernel_cluster_multiplicities_match_eig(coin):
+    # the independent reference: LAPACK's general eigensolver on the full grid, up to
+    # N=41; `test_half_grid_eigensystems_match_full_grid_eig` covers N = 3..21
+    for size in range(23, 42, 2):
+        n, m = np.indices((size, size))
+        expected = cluster_labels(np.linalg.eigvals(block_matrix(coin, n, m, size)).ravel())
+        clusters = SpectralDecomposition.build(coin, size).clusters
+        assert [c.multiplicity for c in clusters] == np.bincount(expected[1]).tolist()
+        assert np.abs(np.array([c.value for c in clusters]) - expected[0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("scale,accepted", [(1e-11, True), (1e-10, True), (4e-10, False)])
+def test_near_unitary_custom_coin(scale, accepted):
+    # a Haar coin plus a perturbation: unitarity residuals 1.6e-11, 1.6e-10 and 6.2e-10, all
+    # inside CUSTOM_UNITARITY_TOL.  The Rayleigh quotients absorb the first two (LAPACK's
+    # general eigensolver, with its columns checked for unitarity, refused residuals from
+    # 3.1e-11 up); the third leaves an eigenpair residual over RESIDUAL_TOL, and the error
+    # names the block
+    rng = np.random.default_rng(12)
+    perturbation = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    coin = custom_coin(haar_coin().entries + scale * perturbation / np.abs(perturbation).max())
+    if accepted:
+        assert len(SpectralDecomposition.build(coin, 21).clusters) == 4 * 21 ** 2
+    else:
+        with pytest.raises(SpectralError, match=r"eigenpair residual .* in block \(\d+, \d+\)"):
+            SpectralDecomposition.build(coin, 21)
 
 
 def spectral_projectors(values, vectors):
@@ -893,7 +990,7 @@ def test_evolve_spectral_haar_coin_without_solve(linalg_counts, t):
     coin = haar_coin()
     initial = pure_state(9, "R")
     spectral = evolve_spectral(initial, coin, t)
-    assert linalg_counts["eig"] == 0
+    assert linalg_counts["eig"] == linalg_counts["eigh"] == 0
     assert linalg_counts["solve"] == 0
     assert np.abs(spectral.amplitudes - evolve(initial, coin, t).amplitudes).max() < 1e-12
 
