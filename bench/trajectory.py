@@ -2,8 +2,10 @@
 The timed paths of `perfbench/scaling.py`, direct evolution to t = N
 under the a1 coin and a Haar coin at scaling's lattice sizes, two long
 direct trajectories, two spectral propagations, four eigensolve-bound
-exact paths at N = 101, 201 and 301 and the exact average under the Haar
-coin at N = 17, 41 and 101, written with the host description to one
+exact paths at N = 101, 201 and 301, the exact average under the Haar
+coin at N = 17, 41 and 101, one step's coin product over the lattice rows
+and as one flat product, both grid writers on evolved grids, and
+`simulate` end to end, written with the host description to one
 BENCH_<seq>.json.
 
     python3 bench/trajectory.py SEQ --label TEXT
@@ -14,13 +16,17 @@ benchmark's thread counts.  Each size gets one warm-up call and then
 CALLS timed calls, recorded as their median and quartiles; the exponent
 is scaling's `slope`, the least-squares slope of log(median) against
 log(N), and null for a path timed at one size.  The Haar coin is
-`perfbench/inputs.py`'s `haar_unitary` at seed 101.  The file lands next
-to this script.
+`perfbench/inputs.py`'s `haar_unitary` at seed 101, and the custom
+initial state its `origin_weights` at seed 101.  The file lands next to
+this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import io
 import json
 import os
 import pathlib
@@ -36,8 +42,9 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 # scaling sets the thread environment before numpy loads, so it comes first
 from scaling import ROOT, THREADS, _paths, qw, slope  # noqa: E402
 
-from inputs import haar_unitary  # noqa: E402
+from inputs import custom_literal, haar_unitary, origin_weights  # noqa: E402
 import numpy as np  # noqa: E402
+from qwalk2d import cli  # noqa: E402
 import scipy  # noqa: E402
 
 #: Steps of each trajectory: the horizon of the benchmark's empirical average.
@@ -51,6 +58,14 @@ LARGE = (101, 201, 301)
 #: Sizes of the Haar coin's exact average: the coin has no lattice symmetry, so
 #: every one of the N^2 blocks is diagonalized, and the time is all eigensolve.
 HAAR_EXACT = (17, 41, 101)
+#: Coin products per timed call of the product rows, which take microseconds each.
+PRODUCTS = 100
+#: Sizes of the product rows, on both sides of `evolve.FLAT_PRODUCT_MAX_N`.
+PRODUCT_SIZES = (21, 51, 75, 101, 127, 151, 201)
+#: Sizes of the writer and `simulate` rows, and the steps of their grids: those of
+#: the benchmark's `lattice-evolution` large tier.
+WRITER_SIZES = (51, 101, 201)
+WRITER_STEPS = 200
 
 
 def trajectory_paths(lattice):
@@ -82,6 +97,71 @@ def trajectory_paths(lattice):
     ]
 
 
+def product_paths():
+    """
+    One step's coin product `np.matmul(source, gate, out=target)` on the
+    buffers of `evolve`'s stepper, PRODUCTS times per call: stacked over the
+    lattice rows, as `evolve`'s bands multiply, and as one flat product.
+    """
+    haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
+    paths = []
+    for coin in (qw.grover_coin(), haar):
+        for flat in (False, True):
+            @functools.cache
+            def operands(n, coin=coin, flat=flat):
+                stepper = qw._evolve._stepper(qw.pure_state(n, "R"), coin)
+                source, gate, target = stepper.source, stepper.gate, stepper.target
+                if flat:
+                    source, target = source.reshape(n * n, -1), target.reshape(n * n, -1)
+                return source, gate, target
+
+            def products(n, operands=operands):
+                source, gate, target = operands(n)
+                for _ in range(PRODUCTS):
+                    np.matmul(source, gate, out=target)
+
+            shape = "(N^2, 8) @ (8, 8)" if coin.is_real else "(N^2, 4) @ (4, 4) complex"
+            layout = "one flat product" if flat else "per lattice row"
+            paths.append((f"{PRODUCTS} x coin product {shape}, {layout}", PRODUCT_SIZES, products))
+    return paths
+
+
+def writer_paths(tmp: pathlib.Path):
+    """
+    Both grid writers on grids evolved WRITER_STEPS steps, grover from R and
+    a1 from the custom state, and `simulate` through `qwalk2d.cli.main`.
+    """
+    weights = origin_weights(np.random.default_rng(101))
+    custom = qw.InitialSpec(*weights)
+    literal = custom_literal(weights)
+    starts = {("grover", "R"): lambda n: qw.pure_state(n, "R"),
+              ("a1", "custom"): lambda n: qw.origin_superposition(n, custom)}
+
+    @functools.cache
+    def grid(coin, initial, n):
+        return qw.evolve(starts[coin, initial](n), cli.parse_coin(coin), WRITER_STEPS)
+
+    def simulate(coin, initial, fmt, n):
+        argv = ["simulate", "--coin", coin, "--n", str(n), "--steps", str(WRITER_STEPS),
+                "--initial", literal if initial == "custom" else initial,
+                "--format", fmt, "--out", str(tmp / f"simulate.{fmt}")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"simulate exited non-zero: {argv}")
+
+    paths = []
+    for coin, initial in starts:
+        for fmt, writer in (("csv", qw.write_grid_csv), ("json", qw.write_grid_json)):
+            paths.append((f"{writer.__name__}({coin}, {initial}, t={WRITER_STEPS})", WRITER_SIZES,
+                          lambda n, coin=coin, initial=initial, writer=writer, fmt=fmt:
+                          writer(grid(coin, initial, n), tmp / f"grid.{fmt}")))
+    for coin, initial in starts:
+        for fmt in ("csv", "json"):
+            paths.append((f"simulate {coin} {initial} t={WRITER_STEPS} --format {fmt}",
+                          WRITER_SIZES, functools.partial(simulate, coin, initial, fmt)))
+    return paths
+
+
 def timed(fn, n):
     """Median, first and third quartile of CALLS calls of fn(n), after one warm-up call."""
     fn(n)
@@ -103,7 +183,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=ROOT) as tmp:
         scaling_paths = _paths(pathlib.Path(tmp))
         lattice = next(sizes for name, sizes, _ in scaling_paths if name == "evolve(grover, t=N)")
-        for name, sizes, fn in scaling_paths + trajectory_paths(lattice):
+        extra = product_paths() + writer_paths(pathlib.Path(tmp))
+        for name, sizes, fn in scaling_paths + trajectory_paths(lattice) + extra:
             times, q1, q3 = zip(*(timed(fn, n) for n in sizes))
             exponent = slope(sizes, times) if len(sizes) > 1 else None
             keys = list(map(str, sizes))

@@ -22,6 +22,8 @@ result is bit-identical to one thread's.  On 2 CPUs two bands break
 even near N = 120 and take 0.6 times the serial time at N = 201 and 301,
 while at N = 31 a second band is 25 times slower: hence the floor.
 There is no setting; smaller lattices, and `trajectory`, run serially.
+On a lattice of at most FLAT_PRODUCT_MAX_N rows `trajectory` multiplies
+the whole lattice by the coin in one product instead, with the same bits.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ __all__ = ["evolve", "step"]
 SHIFTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 #: Fewest lattice rows per band of `evolve` (see the module docstring).
 MIN_BAND_ROWS = 64
+#: Largest N at which `trajectory` multiplies the whole lattice by the coin in one
+#: product; larger lattices, and the bands of `evolve`, multiply row by row.
+FLAT_PRODUCT_MAX_N = 101
 
 
 class _Stepper(NamedTuple):
@@ -89,10 +94,13 @@ def trajectory(state: WalkState, coin: Coin):
     input state is copied, never mutated.
     """
     amplitudes, source, target, gate, flat, mixed_flat, index = _stepper(state, coin)
+    if state.n <= FLAT_PRODUCT_MAX_N:
+        # one (N^2, 8) @ (8, 8) product (complex (N^2, 4) @ (4, 4)) costs one BLAS call
+        # where N stacked row products cost N; above the bound the flat product goes
+        # multithreaded and loses to the rows (bench/trajectory.py, coin product rows)
+        source, target = source.reshape(-1, gate.shape[0]), target.reshape(-1, gate.shape[0])
     while True:
         yield amplitudes
-        # N stacked (N, 4) @ (4, 4) products (8 x 8 real): one (N^2, 4) product is large
-        # enough for OpenBLAS to go multithreaded, which stalled for milliseconds per call
         np.matmul(source, gate, out=target)
         # every index is in range; "wrap" only spares take() the output copy "raise" makes
         mixed_flat.take(index, out=flat, mode="wrap")

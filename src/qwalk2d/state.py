@@ -5,10 +5,17 @@ Sites carry centered coordinates x, y in {-(N-1)/2, ..., (N-1)/2} with N
 odd.  Internally amplitudes live in a complex array indexed by
 (x mod N, y mod N, chirality), which puts the origin at index (0, 0) and
 turns periodic shifts into plain array rolls.
+
+The grid writers print every probability with the bytes of Python's own
+`"%.17g" %` or `repr`, but take the digits from one vectorized kernel
+(`_decimal_digits`) and hand Python only the values the kernel cannot
+certify.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -215,27 +222,268 @@ def origin_superposition(n: int, spec: InitialSpec) -> WalkState:
     return WalkState(amplitudes, 0)
 
 
-def _grid_values(state: WalkState) -> tuple:
-    """x, y and p of every site, x-major in centered coordinates, as one flat tuple."""
-    cs = coords(state.n)
-    values = [None] * (3 * state.n ** 2)
-    values[0::3] = np.repeat(cs, state.n).tolist()
-    values[1::3] = np.tile(cs, state.n).tolist()
-    values[2::3] = state.probability_grid().ravel().tolist()
-    return tuple(values)
-
-
-def _json_parts(payload: dict, key: str, row: str, count: int, values: tuple) -> tuple:
+def _json_frame(payload: dict, key: str) -> tuple:
     """
-    The text of `json.dumps(payload, indent=2, sort_keys=True) + "\n"` in
-    three parts (head, rows, tail), where the top-level list payload[key]
-    holds `count` > 0 items, each written by the `%` template `row` (at an
-    indent of four spaces) from its share of the flat tuple `values`.
+    The text of `json.dumps(payload, indent=2, sort_keys=True) + "\n"`
+    around the items of the nonempty top-level list payload[key]: the head
+    up to the list's first item and the tail after its last, each item
+    indented by four spaces and followed by ",\n" except the last.
     """
     # json escapes newlines and quotes inside strings: only the placeholder's own line matches
     head, tail = json.dumps({**payload, key: 0}, indent=2, sort_keys=True).split(
         f'\n  "{key}": 0')
-    return f'{head}\n  "{key}": [\n', ",\n".join([row] * count) % values, f"\n  ]{tail}\n"
+    return f'{head}\n  "{key}": [\n', f"\n  ]{tail}\n"
+
+
+def _json_parts(payload: dict, key: str, row: str, count: int, values: tuple) -> tuple:
+    """
+    `_json_frame`'s head, the `count` > 0 items of payload[key], each
+    written by the `%` template `row` from its share of the flat tuple
+    `values`, and the tail.
+    """
+    head, tail = _json_frame(payload, key)
+    return head, ",\n".join([row] * count) % values, tail
+
+
+#: Grid rows formatted per pass of `_grid_rows`; bounds the writers' buffers.
+GRID_CHUNK_ROWS = 4096
+#: Exponents k of the table of 10**k that scales a double to 17 digits.
+_POWER_RANGE = range(-293, 326)
+#: The columns of one number in `_grid_rows`: "0.000", the 17 digits, ".",
+#: the last 16 digits again, ".0", "e", the exponent's sign and 3 digits.
+_NUMBER_TEMPLATE = np.frombuffer(b"0.000" + b"0" * 17 + b"." + b"0" * 16 + b".0e+000", np.uint8)
+
+
+@functools.cache
+def _decimal_scale():
+    """
+    The powers 10**k, k in _POWER_RANGE, as np.longdouble parsed from
+    decimal strings, and the bound B on |y - x| for y = fl(v * 10**k) in
+    [1e16, 1e17) and x = v * 10**k exactly: the power and the product are
+    each rounded once, by at most eps / 2 relative, so B = 1.01e17 * eps
+    of np.longdouble, 0.011 on x86-64.  None when no rounding decision
+    could clear B (longdouble is double: B is 22) or the type's arithmetic
+    does not round like IEEE (double-double longdouble).
+    """
+    info = np.finfo(np.longdouble)
+    bound = 1.01e17 * float(info.eps)
+    if bound >= 0.5 or info.nmant not in (63, 112):
+        return None
+    return np.array([f"1e{k}" for k in _POWER_RANGE], dtype=np.longdouble), bound
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The ASCII of "0000" ... "9999" as 10,000 native uint32 words."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    return digits.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _glyphs(digits: np.ndarray) -> np.ndarray:
+    """The ASCII of each int64 below 10**17 as 17 digits with leading zeros, (m, 17) uint8."""
+    quads = _digit_quads()
+    words = np.empty((digits.size, 5), np.uint32)
+    words[:, 0] = quads[digits // 10**16]
+    for k, scale in enumerate((10**12, 10**8, 10**4, 1), 1):
+        group = digits // scale
+        words[:, k] = quads[group - group // 10**4 * 10**4]
+    return words.view(np.uint8)[:, 3:]
+
+
+def _significant(digits: np.ndarray) -> np.ndarray:
+    """How many leading digits of each 17-digit int64 are significant: 1 for 0."""
+    used = np.where(digits == 0, 1, 17)
+    live = np.flatnonzero((digits % 10 == 0) & (digits != 0))
+    rest = digits[live]
+    while live.size:
+        used[live] -= 1
+        rest //= 10
+        zero = rest % 10 == 0
+        live, rest = live[zero], rest[zero]
+    return used
+
+
+def _decimal_digits(values: np.ndarray, shortest: bool):
+    """
+    The decimal digits of each value's text: `repr(v)` when `shortest`,
+    else `"%.17g" % v`.
+
+    Returns (digits, exponent, done): where done, the text's significant
+    digits are the leading digits of the 17-digit int64 `digits` (padded
+    with zeros) and its first digit stands at 10**exponent; exact zeros
+    give 0 and 0.  A value is done only when every rounding decision made
+    on it clears `_decimal_scale`'s bound, so it is never wrong; the
+    others (negative, subnormal, non-finite, powers of two, whose
+    round-trip interval is asymmetric, and any value too near a decision
+    boundary) are left to Python's formatting.
+
+    Each positive normal v is scaled to y = v * 10**(16 - E) in
+    [1e16, 1e17) in np.longdouble, with E = floor(log10(v)) corrected
+    once.  "%.17g" rounds y to an integer.  `repr` takes the fewest
+    digits n whose nearest n-digit decimal lies strictly inside the
+    round-trip interval y +- h, h half the spacing of doubles at v; the
+    nearest one is inside whenever any is, and n = 17 always fits
+    (h > 0.55 units of the 17th digit).
+    """
+    digits = np.zeros(values.shape, np.int64)
+    exponent = np.zeros(values.shape, np.int64)
+    done = (values == 0.0) & ~np.signbit(values)
+    scale = _decimal_scale()
+    if scale is None:
+        return digits, exponent, done
+    powers, bound = scale
+    mantissa = np.frexp(values)[0]
+    fast = np.flatnonzero((values >= np.finfo(np.float64).tiny)
+                          & (values < np.finfo(np.float64).max) & (mantissa != 0.5))
+    v = values[fast]
+    e = np.floor(np.log10(v)).astype(np.int64)
+    wide = v.astype(np.longdouble)
+    y = wide * powers[16 - _POWER_RANGE.start - e]
+    off = np.flatnonzero((y >= 1e17) | (y < 1e16))  # log10 rounded across a power of ten
+    e[off] += np.where(y[off] >= 1e17, 1, -1)
+    y[off] = wide[off] * powers[16 - _POWER_RANGE.start - e[off]]
+    top = y.astype(np.int64)  # y > 0: truncation is the floor
+    # exact: y < 2**57 keeps at most 10 bits below the point
+    frac = (y - top).astype(np.float64)
+    # the 17-digit rounding, which is also repr's when it needs all 17 digits
+    live = np.flatnonzero((top >= 10**16) & (top < 10**17))
+    sure = np.zeros(top.shape, bool)
+    sure[live] = np.abs(frac[live] - 0.5) > bound
+    result = top + (frac > 0.5)
+    if shortest:
+        # h = y * 2**-54 / mantissa; its float64 rounding (< 4e-15) is within B's 1% slack
+        half = y.astype(np.float64) / mantissa[fast] * 2.0**-54
+        for k in range(1, 17):
+            step = 10 ** k
+            whole = top[live]
+            low = whole - whole // step * step
+            # whole - below is the multiple of 10**k nearer to x, and below + frac the
+            # offset of x from it: exact in float64 while |below| < 2**43, and far
+            # outside every bound beyond
+            below = low - step * (low >= step // 2)
+            gap = np.abs(below + frac[live])
+            room = half[live] - gap  # > 0: that multiple is inside the interval
+            # unsure: too near the interval's end, or inside and too near the midpoint
+            # of the two multiples to tell which is nearer (possible only for k = 1)
+            unsure = (np.abs(room) <= bound) | ((room > 0) & (gap >= step // 2 - bound))
+            sure[live[unsure]] = False
+            inside = (room > bound) & ~unsure
+            live = live[inside]
+            if not live.size:
+                break
+            result[live] = whole[inside] - below[inside]
+            sure[live] = True
+    carry = result == 10**17
+    result[carry] //= 10
+    e += carry
+    fast = fast[sure]
+    digits[fast], exponent[fast], done[fast] = result[sure], e[sure], True
+    return digits, exponent, done
+
+
+@functools.cache
+def _layouts(shortest: bool) -> np.ndarray:
+    """
+    Which columns of _NUMBER_TEMPLATE, with the digits filled in, spell a
+    number as repr (`shortest`) or "%.17g" writes it, one row per form
+    and count of significant digits `used` (1 ... 17), row form * 18 +
+    used.  Forms 0 ... 20 have the first digit at 10**(form - 4), 21 and
+    22 are exponential with two and three exponent digits.
+
+    Fixed notation (10**-4 <= v < 10**16, 10**17 for "%.17g") keeps
+    "0." and zeros ahead of a number below 1, the digits up to the point,
+    and the point and the rest of the digits, or ".0" in repr when none
+    are left; the other numbers keep one digit, the point and the rest,
+    and e, the sign and at least two exponent digits.
+    """
+    form, used = np.divmod(np.arange(23 * 18)[:, None], 18)
+    exponent = np.where(form < 21, form - 4, np.where(form == 21, -5, -100))
+    fixed = (exponent >= -4) & (exponent < (16 if shortest else 17))
+    head = np.where(fixed, np.where(exponent < 0, used, exponent + 1), 1)
+    col = np.arange(17)
+    return np.concatenate([
+        fixed & (exponent < 0) & (col[:5] < 1 - exponent),
+        col < head,
+        used > head,
+        (col[1:] >= head) & (col[1:] < used),
+        np.repeat(shortest & fixed & (exponent >= 0) & (used <= head), 2, axis=1),
+        np.repeat(~fixed, 2, axis=1),
+        ~fixed & (np.abs(exponent) >= 100),
+        np.repeat(~fixed, 2, axis=1),
+    ], axis=1)
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """The ASCII of the sign and three digits of each exponent -400 ... 400, as uint32 words."""
+    exponent = np.arange(-400, 401)
+    text = np.abs(exponent)[:, None] // np.array([1, 100, 10, 1]) % 10 + ord("0")
+    text[:, 0] = np.where(exponent < 0, ord("-"), ord("+"))
+    return text.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _number_columns(block: np.ndarray, keep: np.ndarray, values: np.ndarray,
+                    shortest: bool) -> None:
+    """
+    Fill `block`, m rows of _NUMBER_TEMPLATE, with the text of each value,
+    repr or "%.17g" as `_decimal_digits` says, and mark in `keep` which of
+    its columns the text uses (`_layouts`): the kept columns of a row, in
+    order, are the text.  Values the kernel leaves undone take Python's
+    own text.
+    """
+    digits, exponent, done = _decimal_digits(values, shortest)
+    glyphs = _glyphs(digits)
+    block[:, 5:22] = glyphs
+    block[:, 23:39] = glyphs[:, 1:]
+    block[:, 42:] = _exponent_words()[exponent + 400, None].view(np.uint8)
+    used = _significant(digits)
+    fixed = (exponent >= -4) & (exponent < (16 if shortest else 17))
+    form = np.where(fixed, exponent + 4, np.where(np.abs(exponent) < 100, 21, 22))
+    keep[:] = _layouts(shortest)[form * 18 + used]
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        text = repr if shortest else "%.17g".__mod__
+        words = np.array([text(v).encode() for v in values[rest].tolist()])
+        width = words.dtype.itemsize
+        block[rest, :width] = words.view(np.uint8).reshape(rest.size, width)
+        keep[rest] = np.arange(block.shape[1]) < np.char.str_len(words)[:, None]
+
+
+def _grid_rows(state: WalkState, lead: str, between: str, trail: str, join: str,
+               shortest: bool):
+    """
+    Yield the text of every site's row, x-major in centered coordinates,
+    about GRID_CHUNK_ROWS rows (whole lines of constant x) at a time:
+    `lead`, x, `between`, y, `between`, p and `trail`, rows separated by
+    `join`.  p is repr(p) when `shortest`, else "%.17g" % p, both from
+    `_number_columns`.
+    """
+    n = state.n
+    names = np.array([str(c).encode() for c in coords(n).tolist()])
+    width = names.dtype.itemsize
+    name_keep = np.arange(width) < np.char.str_len(names)[:, None]
+    names = names.view(np.uint8).reshape(n, width)
+    blank = bytes(width)  # the coordinates' columns, filled per line
+    row = np.frombuffer(b"".join([lead.encode(), blank, between.encode(), blank,
+                                  between.encode(), _NUMBER_TEMPLATE, (trail + join).encode()]),
+                        np.uint8)
+    x = len(lead)
+    y = x + width + len(between)
+    number = slice(y + width + len(between), y + width + len(between) + _NUMBER_TEMPLATE.size)
+    grid = state.probability_grid()
+    lines = max(1, GRID_CHUNK_ROWS // n)
+    for first in range(0, n, lines):
+        xs = slice(first, min(first + lines, n))
+        text = np.empty((xs.stop - xs.start, n, row.size), np.uint8)
+        keep = np.empty(text.shape, bool)
+        text[...], keep[...] = row, True
+        text[:, :, x:x + width], keep[:, :, x:x + width] = names[xs, None], name_keep[xs, None]
+        text[:, :, y:y + width], keep[:, :, y:y + width] = names, name_keep
+        text, keep = text.reshape(-1, row.size), keep.reshape(-1, row.size)
+        _number_columns(text[:, number], keep[:, number], grid[xs].ravel(), shortest)
+        if xs.stop == n:
+            keep[-1, row.size - len(join):] = False
+        yield str(text[keep].data, "ascii")
 
 
 def _write_parts(path, parts) -> None:
@@ -249,10 +497,11 @@ def write_grid_csv(state: WalkState, path) -> None:
     """
     Write the probability grid as CSV: a header `x,y,p`, then one row per
     site in centered coordinates, x-major, p formatted `%.17g`; every line
-    ends in a newline.
+    ends in a newline.  The numbers come from `_decimal_digits`, byte for
+    byte Python's `"%.17g" % p`.
     """
-    rows = ("%d,%d,%.17g\n" * state.n ** 2) % _grid_values(state)
-    _write_parts(path, ("x,y,p\n", rows))
+    _write_parts(path, itertools.chain(
+        ["x,y,p\n"], _grid_rows(state, "", ",", "\n", "", shortest=False)))
 
 
 def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = "") -> None:
@@ -260,9 +509,11 @@ def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = ""
     Write the probability grid as JSON with run metadata: the bytes of
     `json.dumps(payload, indent=2, sort_keys=True)` plus a newline, where
     `payload["rows"]` holds one [x, y, p] per site in CSV order and each p
-    is written as its Python `repr` (what `json` writes for a finite float).
+    is written as its Python `repr` (what `json` writes for a finite
+    float), from `_decimal_digits`.
     """
     payload = {"coin": coin, "N": state.n, "t": state.t, "initial": initial,
                "columns": ["x", "y", "p"]}
-    _write_parts(path, _json_parts(payload, "rows", "    [\n      %d,\n      %d,\n      %r\n    ]",
-                                   state.n ** 2, _grid_values(state)))
+    head, tail = _json_frame(payload, "rows")
+    rows = _grid_rows(state, "    [\n      ", ",\n      ", "\n    ]", ",\n", shortest=True)
+    _write_parts(path, itertools.chain([head], rows, [tail]))

@@ -75,8 +75,12 @@ def test_kernel_coins_cover_both_coin_products():
     assert [coin.is_real for coin in KERNEL_COINS] == [False, True, True, True, True, True, False]
 
 
+# the last two sit on either side of the largest lattice `trajectory` multiplies in one product
+PRODUCT_SIDES = [evolve_module.FLAT_PRODUCT_MAX_N, evolve_module.FLAT_PRODUCT_MAX_N + 2]
+
+
 @pytest.mark.parametrize("coin", KERNEL_COINS, ids=lambda c: c.label)
-@pytest.mark.parametrize("n", [3, 5, 21])
+@pytest.mark.parametrize("n", [3, 5, 21] + PRODUCT_SIDES)
 def test_evolve_equals_roll_reference_bit_for_bit(coin, n):
     initial = random_state(n, seed=n)
     before = initial.amplitudes.copy()
@@ -204,8 +208,8 @@ def reference_empirical(initial, coin, horizon, site, parity):
     return tuple(acc / count)
 
 
-def assert_empirical_equals_reference(coin, parity, horizon):
-    initial = random_state(5, seed=11)
+def assert_empirical_equals_reference(coin, parity, horizon, n=5):
+    initial = random_state(n, seed=11)
     before = initial.amplitudes.copy()
     report = empirical_time_average(initial, coin, horizon, site=(1, -2), parity=parity)
     assert report.per_chirality == reference_empirical(initial, coin, horizon, (1, -2), parity)
@@ -230,6 +234,12 @@ def test_empirical_equals_per_step_reference_bit_for_bit(parity, horizon):
 def test_empirical_real_coin_equals_per_step_reference_bit_for_bit(coin, parity, horizon):
     assert coin.is_real
     assert_empirical_equals_reference(coin, parity, horizon)
+
+
+@pytest.mark.parametrize("coin", [random_unitary_coin(7), grover_coin()], ids=lambda c: c.label)
+@pytest.mark.parametrize("n", [21] + PRODUCT_SIDES)
+def test_empirical_equals_per_step_reference_bit_for_bit_on_larger_lattices(coin, n):
+    assert_empirical_equals_reference(coin, "all", 41 if n == 21 else 7, n)
 
 
 def test_planted_non_unitary_coin_raises_consistency_error():

@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from qwalk2d import (
     InitialSpec,
     WalkState,
+    a1_coin,
     coords,
     evolve,
+    evolve_spectral,
     grover_coin,
     origin_superposition,
     pure_state,
@@ -18,6 +21,7 @@ from qwalk2d import (
     write_grid_csv,
     write_grid_json,
 )
+from qwalk2d import state as state_module
 from test_evolve import random_unitary_coin
 
 
@@ -279,3 +283,139 @@ def test_grid_writers_against_json_loads_and_row_formula(tmp_path, n):
         "coin": "haar", "N": n, "t": 17, "initial": "R", "columns": ["x", "y", "p"],
         "rows": [list(site) for site in sites],
     }
+
+
+# The writers as they were before the vectorized number kernel: one `%` template
+# applied to the flat (x, y, p) tuple of the whole grid, kept as the byte reference.
+
+def template_values(state):
+    cs = coords(state.n)
+    values = [None] * (3 * state.n ** 2)
+    values[0::3] = np.repeat(cs, state.n).tolist()
+    values[1::3] = np.tile(cs, state.n).tolist()
+    values[2::3] = state.probability_grid().ravel().tolist()
+    return tuple(values)
+
+
+def template_grid_csv(state, path):
+    rows = ("%d,%d,%.17g\n" * state.n ** 2) % template_values(state)
+    pathlib.Path(path).write_text("x,y,p\n" + rows)
+
+
+def template_grid_json(state, path, *, coin="", initial=""):
+    payload = {"coin": coin, "N": state.n, "t": state.t, "initial": initial,
+               "columns": ["x", "y", "p"]}
+    pathlib.Path(path).write_text("".join(state_module._json_parts(
+        payload, "rows", "    [\n      %d,\n      %d,\n      %r\n    ]", state.n ** 2,
+        template_values(state))))
+
+
+def assert_writers_match_templates(state, directory, coin="", initial=""):
+    directory = pathlib.Path(directory)
+    write_grid_csv(state, directory / "got.csv")
+    template_grid_csv(state, directory / "want.csv")
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+    write_grid_json(state, directory / "got.json", coin=coin, initial=initial)
+    template_grid_json(state, directory / "want.json", coin=coin, initial=initial)
+    assert (directory / "got.json").read_bytes() == (directory / "want.json").read_bytes()
+
+
+def seeded_spec(seed):
+    weights = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, 4))
+    return InitialSpec(*(weights / np.linalg.norm(weights)))
+
+
+GRID_COINS = [grover_coin(), a1_coin(), random_unitary_coin(101)]
+
+
+# spectral grids carry roundoff far below the values (2.3e-32 at t = 1), direct ones
+# exact zeros: both notations and the zero path are in every large case
+@pytest.mark.parametrize("backend", [evolve, evolve_spectral], ids=["direct", "spectral"])
+@pytest.mark.parametrize("n", [3, 21, 201])
+@pytest.mark.parametrize("coin", GRID_COINS, ids=lambda c: c.label)
+def test_writers_match_percent_templates_on_walks(tmp_path, coin, n, backend):
+    start = pure_state(n, "R") if coin.label == "grover" else origin_superposition(
+        n, seeded_spec(101))
+    for t in (0, 1, 20, 500):
+        assert_writers_match_templates(backend(start, coin, t), tmp_path, coin.label, "R")
+
+
+def kernel_text(values, shortest):
+    """The number kernel's text of each value, as the writers lay it out."""
+    texts = []
+    for part in np.array_split(values, -(-values.size // 100000)):
+        block = np.tile(state_module._NUMBER_TEMPLATE, (part.size, 1))
+        keep = np.empty(block.shape, bool)
+        state_module._number_columns(block, keep, part, shortest)
+        block = np.concatenate([block, np.full((part.size, 1), ord("\n"), np.uint8)], axis=1)
+        keep = np.concatenate([keep, np.ones((part.size, 1), bool)], axis=1)
+        texts += str(block[keep].data, "ascii").split("\n")[:-1]
+    return texts
+
+
+def assert_kernel_matches_python(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert kernel_text(values, False) == ["%.17g" % v for v in values.tolist()]
+    assert kernel_text(values, True) == [repr(v) for v in values.tolist()]
+
+
+def edge_values():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([
+        [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 2.0 ** -25, np.finfo(float).max,
+         -0.0, -1.5, np.nan, np.inf, -np.inf],
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # every power of two
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+    ])
+
+
+def test_kernel_matches_python_on_edge_values():
+    # 2**-25 = 2.98023223876953125e-08 is a tie at 17 digits
+    assert "%.17g" % 2.0 ** -25 == "2.9802322387695312e-08"
+    assert_kernel_matches_python(edge_values())
+
+
+def test_kernel_matches_python_on_a_million_values():
+    rng = np.random.default_rng(19)
+    assert_kernel_matches_python(np.concatenate([
+        rng.integers(0, 2**63, 300000, dtype=np.uint64).view(np.float64),  # any sign-free bits
+        rng.random(300000),
+        10.0 ** rng.uniform(-40.0, 0.0, 300000),
+        np.abs(rng.normal(size=100000) + 1j * rng.normal(size=100000)) ** 2 / 4e4,
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_kernel_matches_python_on_nonnegative_floats(values):
+    assert_kernel_matches_python(values)
+
+
+def test_kernel_formats_nearly_every_walk_value_itself():
+    scale = state_module._decimal_scale()
+    if scale is None:
+        pytest.skip("np.longdouble cannot certify any rounding here")
+    grid = evolve(pure_state(201, "R"), grover_coin(), 200).probability_grid().ravel()
+    for shortest in (False, True):
+        assert state_module._decimal_digits(grid, shortest)[2].mean() > 0.95
+
+
+def test_decimal_scale_powers_are_correctly_rounded():
+    scale = state_module._decimal_scale()
+    if scale is None:
+        pytest.skip("np.longdouble cannot certify any rounding here")
+    powers, bound = scale
+    half_ulp = Fraction(float(np.finfo(np.longdouble).eps)) / 2
+    for k, power in zip(state_module._POWER_RANGE, powers):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= half_ulp * exact
+    assert bound < 0.5
+
+
+def test_writers_without_longdouble_fall_back_to_python(monkeypatch, tmp_path):
+    # what a platform whose np.longdouble is double runs: every value through Python
+    monkeypatch.setattr(state_module, "_decimal_scale", lambda: None)
+    assert_kernel_matches_python(edge_values())
+    state = evolve_spectral(origin_superposition(21, seeded_spec(7)), a1_coin(), 1)
+    assert_writers_match_templates(state, tmp_path)
