@@ -5,8 +5,9 @@ direct trajectories, two spectral propagations, four eigensolve-bound
 exact paths at N = 101, 201 and 301, the exact average under the Haar
 coin at N = 17, 41 and 101, one step's coin product over the lattice rows
 and as one flat product, both grid writers on evolved grids, and
-`simulate` end to end, written with the host description to one
-BENCH_<seq>.json.
+`simulate`, `spectrum`, `timeavg --method exact` and `predict` end to
+end, written with the host description to one BENCH_<seq>.json, along
+with the tracemalloc peaks of the three exact routes.
 
     python3 bench/trajectory.py SEQ --label TEXT
 
@@ -17,8 +18,9 @@ CALLS timed calls, recorded as their median and quartiles; the exponent
 is scaling's `slope`, the least-squares slope of log(median) against
 log(N), and null for a path timed at one size.  The Haar coin is
 `perfbench/inputs.py`'s `haar_unitary` at seed 101, and the custom
-initial state its `origin_weights` at seed 101.  The file lands next to
-this script.
+initial state its `origin_weights` at seed 101.  A peak is the one of
+`perfbench/tracer.py`'s `peak_alloc` over one call after a warm-up call,
+in bytes per N^2 block.  The file lands next to this script.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 from scaling import ROOT, THREADS, _paths, qw, slope  # noqa: E402
 
 from inputs import custom_literal, haar_unitary, origin_weights  # noqa: E402
+from tracer import peak_alloc  # noqa: E402
 import numpy as np  # noqa: E402
 from qwalk2d import cli  # noqa: E402
 import scipy  # noqa: E402
@@ -66,6 +69,9 @@ PRODUCT_SIZES = (21, 51, 75, 101, 127, 151, 201)
 #: the benchmark's `lattice-evolution` large tier.
 WRITER_SIZES = (51, 101, 201)
 WRITER_STEPS = 200
+#: Sizes of the exact commands end to end and of the exact routes' memory peaks.
+EXACT_SIZES = (51, 101, 201)
+PEAK_SIZES = (41, 101, 201)
 
 
 def trajectory_paths(lattice):
@@ -162,6 +168,58 @@ def writer_paths(tmp: pathlib.Path):
     return paths
 
 
+def exact_coins():
+    """The coins of the exact rows: grover, a1 and the seed-101 Haar coin."""
+    haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
+    return {"grover": qw.grover_coin(), "a1": qw.a1_coin(), "haar": haar}
+
+
+def command_paths(tmp: pathlib.Path):
+    """
+    `spectrum`, `timeavg --method exact --parity odd` from the custom state
+    and `predict` through `qwalk2d.cli.main`, for each of `exact_coins`.
+    """
+    haar_path = tmp / "haar.json"
+    haar_path.write_text(json.dumps(
+        [[[v.real, v.imag] for v in row] for row in exact_coins()["haar"].entries.tolist()]))
+    literal = custom_literal(origin_weights(np.random.default_rng(101)))
+
+    def run(argv, n):
+        argv = [*argv, "--n", str(n)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"command exited non-zero: {argv}")
+
+    paths = []
+    for name in exact_coins():
+        coin = f"file:{haar_path}" if name == "haar" else name
+        for label, argv in (
+            (f"spectrum {name}", ["spectrum", "--coin", coin, "--out", str(tmp / "spectrum.json")]),
+            (f"timeavg --method exact {name} custom odd",
+             ["timeavg", "--method", "exact", "--coin", coin, "--initial", literal,
+              "--parity", "odd", "--out", str(tmp / "timeavg.json")]),
+            (f"predict {name}", ["predict", "--coin", coin]),
+        ):
+            paths.append((label, EXACT_SIZES, functools.partial(run, argv)))
+    return paths
+
+
+def peak_paths():
+    """The exact routes whose memory peaks are recorded, for each of `exact_coins`."""
+    pure_r = qw.InitialSpec.pure("R")
+    paths = []
+    for name, coin in exact_coins().items():
+        paths += [
+            (f"SpectralDecomposition.build({name})",
+             functools.partial(qw.SpectralDecomposition.build, coin)),
+            (f"exact_time_average({name}, R, odd)",
+             lambda n, coin=coin: qw.exact_time_average(coin, pure_r, n, "odd")),
+            (f"origin_coefficients({name}, R)",
+             lambda n, coin=coin: qw.origin_coefficients(coin, pure_r, n)),
+        ]
+    return paths
+
+
 def timed(fn, n):
     """Median, first and third quartile of CALLS calls of fn(n), after one warm-up call."""
     fn(n)
@@ -183,7 +241,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=ROOT) as tmp:
         scaling_paths = _paths(pathlib.Path(tmp))
         lattice = next(sizes for name, sizes, _ in scaling_paths if name == "evolve(grover, t=N)")
-        extra = product_paths() + writer_paths(pathlib.Path(tmp))
+        extra = (product_paths() + writer_paths(pathlib.Path(tmp))
+                 + command_paths(pathlib.Path(tmp)))
         for name, sizes, fn in scaling_paths + trajectory_paths(lattice) + extra:
             times, q1, q3 = zip(*(timed(fn, n) for n in sizes))
             exponent = slope(sizes, times) if len(sizes) > 1 else None
@@ -194,6 +253,15 @@ def main(argv=None) -> int:
             cells = "  ".join(f"N={n}: {t:.3g}s" for n, t in zip(sizes, times))
             fitted = "-" if exponent is None else f"{exponent:.2f}"
             print(f"{name:48s} exponent {fitted:>5s}   {cells}", flush=True)
+    peaks = []
+    for name, fn in peak_paths():
+        per_block = {}
+        for n in PEAK_SIZES:
+            fn(n)
+            per_block[str(n)] = peak_alloc(fn, n) / n ** 2
+        peaks.append({"path": name, "peak_bytes_per_n2": per_block})
+        cells = "  ".join(f"N={n}: {b:.0f}" for n, b in per_block.items())
+        print(f"{name:48s} peak bytes / N^2   {cells}", flush=True)
     payload = {
         "seq": args.seq,
         "label": args.label,
@@ -201,6 +269,7 @@ def main(argv=None) -> int:
                  "numpy": np.__version__, "scipy": scipy.__version__, "threads": THREADS},
         "calls_per_size": CALLS,
         "paths": paths,
+        "peaks": peaks,
     }
     out = HERE / f"BENCH_{args.seq}.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -129,8 +129,9 @@ def parse_initial(text: str) -> InitialSpec:
 #: Default time horizon of `timeavg --method empirical`.
 EMPIRICAL_SAMPLES = 20000
 #: Largest `--n`.  One state takes 64 N^2 bytes and the eigenvector stack
-#: of the exact commands 256 N^2; with their coefficient and clustering
-#: arrays those peak near 950 N^2 bytes, about 1 GB at N = 1001.
+#: of the exact commands 256 N^2.  By tracemalloc at N = 101 and 201, a coin
+#: with no symmetry peaks near 1060 N^2 bytes in `timeavg --method exact
+#: --parity odd` and 750 N^2 in `spectrum` and `predict`: 1.1 GB at N = 1001.
 MAX_N = 1001
 
 
@@ -200,10 +201,9 @@ def _cmd_simulate(args) -> int:
     else:
         state = evolve(state, coin, args.steps)
     if args.format == "csv":
-        write_grid_csv(state, args.out)
+        grid = write_grid_csv(state, args.out)
     else:
-        write_grid_json(state, args.out, coin=coin.label, initial=args.initial)
-    grid = state.probability_grid()
+        grid = write_grid_json(state, args.out, coin=coin.label, initial=args.initial)
     # sites tied by symmetry differ in last bits by backend: take the first within 1e-12
     flat = int(np.argmax(grid >= grid.max() - 1e-12))
     half = (state.n - 1) // 2

@@ -83,9 +83,10 @@ CHUNK_BLOCKS = 1536
 #: a1, a2, a4:p and Haar coins at N = 3..101, t = 1e6..1e15), so 16 eps
 #: leaves a tenfold margin.
 POWER_ROUNDING = 16 * np.finfo(np.float64).eps
-#: Momentum blocks `_unitary_eigh` diagonalizes together: its powers of H and
-#: Hermitian matrices take about 2 KiB per block, so a chunk's stay near 0.5 MiB.
-EIGH_CHUNK = 256
+#: Momentum blocks `_eigensystems` diagonalizes and checks together, with about
+#: 3 KiB of temporaries per block.  512 ran as fast as 1024 and faster than 256;
+#: 1024 raised the exact routes' peak at N = 41 by 36% (Haar coin, 1700 N^2 bytes).
+EIGH_CHUNK = 512
 #: The candidate poles e^(i (0.3 + k pi/4)), k = 0..7, of `_unitary_eigh`, as a column.
 _POLES = np.exp(1j * (0.3 + np.pi / 4 * np.arange(8)))[:, None]
 
@@ -228,8 +229,21 @@ def _sorted(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def _unitary_eigh_chunk(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_unitary_eigh` of a (B, 4, 4) stack, worked batch-last."""
+def _unitary_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Eigenvalues (B, 4) and orthonormal eigenvector columns (B, 4, 4) of a
+    (B, 4, 4) stack of unitary blocks, through a Hermitian solver, worked
+    batch-last.
+
+    Per block, p(z) = det(z - H) comes from the traces of H, H^2, H^3 and
+    H^4 by Newton's identities, and z is the pole of `_POLES` where |p(z)|
+    is largest (see the module docstring for its bound).  By
+    Cayley-Hamilton (z - H)^-1 = q(z, H) / p(z) with q cubic in H, so the
+    Cayley transform K = i (z + H)(z - H)^-1 = 2 i z q(z, H) / p(z) - i
+    needs no solve.  Its Hermitian part, M + M^H with M = i z q(z, H) / p(z),
+    goes to eigh, and the eigenvalues are the Rayleigh quotients
+    diag(V^H H V).
+    """
     powers = np.empty((3, 4, 4, len(h)), dtype=np.complex128)  # H, H^2, H^3
     powers[0] = h.transpose(1, 2, 0)
     np.einsum("ijb,jkb->ikb", powers[0], powers[0], out=powers[1])
@@ -255,73 +269,57 @@ def _unitary_eigh_chunk(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("bij,bik,bkj->bj", vectors.conj(), h, vectors), vectors
 
 
-def _unitary_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigensystems(coin: Coin, index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
-    Eigenvalues (..., 4) and orthonormal eigenvector columns (..., 4, 4) of
-    a stack of unitary 4x4 blocks, through a Hermitian solver, in chunks of
-    EIGH_CHUNK blocks.
+    Diagonalize the blocks with flat indices `index` (block (n, m) at
+    n N + m) with `_unitary_eigh`, EIGH_CHUNK blocks at a time: the orbit
+    representatives of `_grid_eigensystems` (every block for a coin with no
+    symmetry), one block for `build_block`.
 
-    Per block, p(z) = det(z - H) comes from the traces of H, H^2, H^3 and
-    H^4 by Newton's identities, and z is the pole of `_POLES` where |p(z)|
-    is largest (see the module docstring for its bound).  By
-    Cayley-Hamilton (z - H)^-1 = q(z, H) / p(z) with q cubic in H, so the
-    Cayley transform K = i (z + H)(z - H)^-1 = 2 i z q(z, H) / p(z) - i
-    needs no solve.  Its Hermitian part, M + M^H with M = i z q(z, H) / p(z),
-    goes to eigh, and the eigenvalues are the Rayleigh quotients
-    diag(V^H H V).
-    """
-    flat = h.reshape(-1, 4, 4)
-    values = np.empty(flat.shape[:-1], dtype=np.complex128)
-    vectors = np.empty_like(flat)
-    for start in range(0, len(flat), EIGH_CHUNK):
-        chunk = slice(start, start + EIGH_CHUNK)
-        values[chunk], vectors[chunk] = _unitary_eigh_chunk(flat[chunk])
-    return values.reshape(h.shape[:-1]), vectors.reshape(h.shape)
-
-
-def _eigensystems(coin: Coin, n, m, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """
-    Diagonalize the blocks H(n, m) over broadcast momentum arrays with
-    `_unitary_eigh`: the orbit representatives of `_grid_eigensystems`
-    (the whole grid for a coin with no symmetry), one block for
-    `build_block`.
-
-    Returns the eigenvalues (..., 4), sorted within each block like the
+    Returns the eigenvalues (B, 4), sorted within each block like the
     centres of `cluster_labels`, and the paired unit eigenvector columns
-    (..., 4, 4).  Where an eigenvalue repeats within a block, its copies
-    are replaced by their mean; its columns are already orthonormal, so
-    every eigenvector matrix is unitary.
+    (B, 4, 4).  Where an eigenvalue repeats within a block, its copies are
+    replaced by their mean; its columns are already orthonormal, so every
+    eigenvector matrix is unitary.
 
     Raises
     ------
     SpectralError
-        If the eigensolver fails, or the largest eigenpair residual or
-        ||V^H V - I|| of a block exceeds 1e-10; the message names the block.
+        If the eigensolver fails on a chunk, or the largest eigenpair
+        residual or ||V^H V - I|| of a block exceeds 1e-10; the message
+        names the block, or the first and last of the chunk.
     """
-    bn, bm = np.broadcast_arrays(n, m)
-    h = block_matrix(coin, n, m, size)
-    try:
-        values, vectors = _unitary_eigh(h)
-    except np.linalg.LinAlgError as exc:
-        where = f"block ({bn}, {bm})" if bn.ndim == 0 else f"a stack of {bn.size} blocks"
-        raise SpectralError(f"eigendecomposition failed for {where}: {exc}")
-    close = np.abs(values[..., :, None] - values[..., None, :]) <= DEGENERACY_TOL
-    for b in map(tuple, np.argwhere(close.sum(axis=(-2, -1)) > 4)):
-        centres, labels = cluster_labels(values[b])
-        values[b] = centres[labels]
-    values, vectors = _sorted(values, vectors)
-    checks = (
-        ("eigenpair residual", h @ vectors - vectors * values[..., None, :]),
-        ("eigenvector unitarity error", vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(4)),
-    )
-    for what, error in checks:
-        error = np.abs(error).max(axis=(-2, -1))
-        worst = np.unravel_index(np.argmax(error), error.shape)
-        if not error[worst] <= RESIDUAL_TOL:
+    values = np.empty((len(index), 4), dtype=np.complex128)
+    vectors = np.empty((len(index), 4, 4), dtype=np.complex128)
+    for start in range(0, len(index), EIGH_CHUNK):
+        chunk = slice(start, start + EIGH_CHUNK)
+        blocks = index[chunk]
+        h = block_matrix(coin, *np.divmod(blocks, size), size)
+        try:
+            found, columns = _unitary_eigh(h)
+        except np.linalg.LinAlgError as exc:
             raise SpectralError(
-                f"{what} {error[worst]:.3e} in block ({bn[worst]}, {bm[worst]}) "
-                f"exceeds {RESIDUAL_TOL:.0e}"
+                f"eigendecomposition failed for the blocks {divmod(int(blocks[0]), size)} "
+                f"to {divmod(int(blocks[-1]), size)}: {exc}"
             )
+        close = np.abs(found[:, :, None] - found[:, None, :]) <= DEGENERACY_TOL
+        for b in np.flatnonzero(close.sum(axis=(-2, -1)) > 4):
+            centres, labels = cluster_labels(found[b])
+            found[b] = centres[labels]
+        found, columns = _sorted(found, columns)
+        checks = (
+            ("eigenpair residual", h @ columns - columns * found[:, None, :]),
+            ("eigenvector unitarity error", columns.conj().swapaxes(-1, -2) @ columns - np.eye(4)),
+        )
+        for what, error in checks:
+            error = np.abs(error).max(axis=(-2, -1))
+            worst = np.argmax(error)
+            if not error[worst] <= RESIDUAL_TOL:
+                raise SpectralError(
+                    f"{what} {error[worst]:.3e} in block {divmod(int(blocks[worst]), size)} "
+                    f"exceeds {RESIDUAL_TOL:.0e}"
+                )
+        values[chunk], vectors[chunk] = found, columns
     return values, vectors
 
 
@@ -341,20 +339,19 @@ def _grid_eigensystems(coin: Coin, size: int) -> tuple[np.ndarray, np.ndarray]:
     coin with no lattice symmetry; a complex coin with none is diagonalized
     on the full grid, with no orbit table.
     """
-    momenta = np.arange(_check_size(size))
+    size = _check_size(size)
     elements = _coin_symmetries(coin)
     if len(elements) == 1:
-        return _eigensystems(coin, momenta[:, None], momenta, size)
+        values, vectors = _eigensystems(coin, np.arange(size * size), size)
+        return values.reshape(size, size, 4), vectors.reshape(size, size, 4, 4)
     rep, via = _orbits(elements, size)
     solved = np.flatnonzero(via == 0)
-    rep_values, rep_vectors = _eigensystems(coin, *np.divmod(solved, size), size)
-    slot = np.empty(size * size, dtype=np.intp)
-    slot[solved] = np.arange(solved.size)
+    rep_values, rep_vectors = _eigensystems(coin, solved, size)
     values = np.empty((size * size, 4), dtype=np.complex128)
     vectors = np.empty((size * size, 4, 4), dtype=np.complex128)
     for e, (g, phi, conjugates) in enumerate(elements):
         blocks = np.flatnonzero(via == e)
-        source = slot[rep[blocks]]
+        source = np.searchsorted(solved, rep[blocks])
         filled = rep_vectors[source[:, None], _MAP_INVERSES[g]]
         filled *= (phi if conjugates else phi.conj())[:, None]
         if conjugates:
@@ -394,8 +391,8 @@ def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
     """
     if not (0 <= n < size and 0 <= m < size):
         raise ValueError(f"momenta must lie in 0..{size - 1}, got ({n}, {m})")
-    values, vectors = _eigensystems(coin, n, m, size)
-    return MomentumBlock(n, m, size, block_matrix(coin, n, m, size), values, vectors)
+    values, vectors = _eigensystems(coin, np.array([n * size + m]), size)
+    return MomentumBlock(n, m, size, block_matrix(coin, n, m, size), values[0], vectors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -640,27 +637,6 @@ def _origin_terms(coin: Coin, weights: np.ndarray, size: int):
     return values.reshape(-1), terms.swapaxes(-1, -2).reshape(-1, 4)
 
 
-def origin_eigenvalue_amplitudes(
-    coin: Coin, initial: InitialSpec, size: int
-) -> list[tuple[complex, np.ndarray]]:
-    """
-    Exact expansion of the origin amplitude over distinct eigenvalues.
-
-    For an origin-localized initial state the amplitude of chirality i at
-    the origin is exactly
-
-        psi_i(t) = sum over distinct eigenvalues l of  A_l[i] * l^t,
-
-    where A_l collects (1/N^2) times the eigenspace projections of the
-    initial chirality vector over every block containing l.  Returns the
-    merged (eigenvalue, A_l) list in the order of `cluster_labels`: by real
-    part rounded to whole multiples of DEGENERACY_TOL, then by imaginary part.
-    """
-    values, terms = _origin_terms(coin, initial.weights, size)
-    centres, labels = cluster_labels(values)
-    return list(zip(centres.tolist(), sum_by_label(labels, terms) / size ** 2))
-
-
 @dataclass(frozen=True)
 class ClassCoefficients:
     """
@@ -808,3 +784,22 @@ def origin_coefficients(
         classes=tuple(classes),
         merged=tuple(zip(centres.tolist(), sums / size ** 2)),
     )
+
+
+def origin_eigenvalue_amplitudes(
+    coin: Coin, initial: InitialSpec, size: int
+) -> list[tuple[complex, np.ndarray]]:
+    """
+    Exact expansion of the origin amplitude over distinct eigenvalues, the
+    list of `origin_coefficients(coin, initial, size).merged`.
+
+    For an origin-localized initial state the amplitude of chirality i at
+    the origin is exactly
+
+        psi_i(t) = sum over distinct eigenvalues l of  A_l[i] * l^t,
+
+    where A_l collects (1/N^2) times the eigenspace projections of the
+    initial chirality vector over every block containing l.  The pairs
+    (l, A_l) come in the order of `cluster_labels`.
+    """
+    return list(origin_coefficients(coin, initial, size).merged)

@@ -449,16 +449,16 @@ def _number_columns(block: np.ndarray, keep: np.ndarray, values: np.ndarray,
         keep[rest] = np.arange(block.shape[1]) < np.char.str_len(words)[:, None]
 
 
-def _grid_rows(state: WalkState, lead: str, between: str, trail: str, join: str,
+def _grid_rows(grid: np.ndarray, lead: str, between: str, trail: str, join: str,
                shortest: bool):
     """
-    Yield the text of every site's row, x-major in centered coordinates,
-    about GRID_CHUNK_ROWS rows (whole lines of constant x) at a time:
-    `lead`, x, `between`, y, `between`, p and `trail`, rows separated by
-    `join`.  p is repr(p) when `shortest`, else "%.17g" % p, both from
+    Yield the text of every site's row of a probability grid, x-major in
+    centered coordinates, about GRID_CHUNK_ROWS rows (whole lines of
+    constant x) at a time: `lead`, x, `between`, y, `between`, p and
+    `trail`, rows separated by `join`.  p is repr(p) when `shortest`, else "%.17g" % p, both from
     `_number_columns`.
     """
-    n = state.n
+    n = len(grid)
     names = np.array([str(c).encode() for c in coords(n).tolist()])
     width = names.dtype.itemsize
     name_keep = np.arange(width) < np.char.str_len(names)[:, None]
@@ -470,7 +470,6 @@ def _grid_rows(state: WalkState, lead: str, between: str, trail: str, join: str,
     x = len(lead)
     y = x + width + len(between)
     number = slice(y + width + len(between), y + width + len(between) + _NUMBER_TEMPLATE.size)
-    grid = state.probability_grid()
     lines = max(1, GRID_CHUNK_ROWS // n)
     for first in range(0, n, lines):
         xs = slice(first, min(first + lines, n))
@@ -493,27 +492,31 @@ def _write_parts(path, parts) -> None:
             out.write(part)
 
 
-def write_grid_csv(state: WalkState, path) -> None:
+def write_grid_csv(state: WalkState, path) -> np.ndarray:
     """
     Write the probability grid as CSV: a header `x,y,p`, then one row per
     site in centered coordinates, x-major, p formatted `%.17g`; every line
     ends in a newline.  The numbers come from `_decimal_digits`, byte for
-    byte Python's `"%.17g" % p`.
+    byte Python's `"%.17g" % p`.  Returns the grid it wrote.
     """
+    grid = state.probability_grid()
     _write_parts(path, itertools.chain(
-        ["x,y,p\n"], _grid_rows(state, "", ",", "\n", "", shortest=False)))
+        ["x,y,p\n"], _grid_rows(grid, "", ",", "\n", "", shortest=False)))
+    return grid
 
 
-def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = "") -> None:
+def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = "") -> np.ndarray:
     """
     Write the probability grid as JSON with run metadata: the bytes of
     `json.dumps(payload, indent=2, sort_keys=True)` plus a newline, where
     `payload["rows"]` holds one [x, y, p] per site in CSV order and each p
     is written as its Python `repr` (what `json` writes for a finite
-    float), from `_decimal_digits`.
+    float), from `_decimal_digits`.  Returns the grid it wrote.
     """
+    grid = state.probability_grid()
     payload = {"coin": coin, "N": state.n, "t": state.t, "initial": initial,
                "columns": ["x", "y", "p"]}
     head, tail = _json_frame(payload, "rows")
-    rows = _grid_rows(state, "    [\n      ", ",\n      ", "\n    ]", ",\n", shortest=True)
+    rows = _grid_rows(grid, "    [\n      ", ",\n      ", "\n    ]", ",\n", shortest=True)
     _write_parts(path, itertools.chain([head], rows, [tail]))
+    return grid

@@ -41,8 +41,8 @@ from .evolve import check_norm, trajectory
 from .spectral import (
     SpectralDecomposition,
     _is_grover,
+    _origin_terms,
     cluster_labels,
-    origin_eigenvalue_amplitudes,
     sum_by_label,
 )
 from .state import ConsistencyError, InitialSpec, WalkState, _check_size
@@ -201,9 +201,9 @@ def exact_time_average(
     an origin-localized initial state, so the origin is the only site.
     """
     _check_parity(parity)
-    merged = origin_eigenvalue_amplitudes(coin, initial, size)
-    values = np.array([value for value, _ in merged])
-    amps = np.array([amp for _, amp in merged])
+    values, terms = _origin_terms(coin, initial.weights, size)
+    values, labels = cluster_labels(values)
+    amps = sum_by_label(labels, terms) / size ** 2
     if parity != "all":
         if parity == "odd":
             amps = amps * values[:, None]

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -757,6 +759,59 @@ def test_kernel_checks_raise_spectral_error(monkeypatch, perturb, message):
         SpectralDecomposition.build(a2_coin(), 5)
 
 
+@pytest.mark.parametrize("coin", [haar_coin(), a1_coin()], ids=["haar", "a1"])
+def test_a_failure_in_a_later_chunk_names_its_block(monkeypatch, coin):
+    # plant an eigenpair residual in the last block diagonalized, in the last of several
+    # chunks: the error names that block by its flat index, with no other chunk touched
+    size = 2 * math.isqrt(spectral.EIGH_CHUNK) + 1
+    via = spectral._orbits(spectral._coin_symmetries(coin), size)[1]
+    n, m = divmod(int(np.flatnonzero(via == 0)[-1]), size)
+    planted = block_matrix(coin, n, m, size)
+    kernel = spectral._unitary_eigh
+    chunks = []
+
+    def kernel_with_a_fault(h):
+        values, vectors = kernel(h)
+        chunks.append(len(h))
+        values[(h == planted).all(axis=(-2, -1))] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(spectral, "_unitary_eigh", kernel_with_a_fault)
+    with pytest.raises(SpectralError, match=rf"eigenpair residual .* in block \({n}, {m}\) "):
+        SpectralDecomposition.build(coin, size)
+    assert len(chunks) > 1 and chunks[0] == spectral.EIGH_CHUNK
+
+
+def test_a_solver_failure_names_its_chunk(monkeypatch):
+    def failing(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    size = 2 * math.isqrt(spectral.EIGH_CHUNK) + 1
+    n, m = divmod(spectral.EIGH_CHUNK - 1, size)
+    monkeypatch.setattr(spectral, "_unitary_eigh", failing)
+    with pytest.raises(SpectralError, match=rf"blocks \(0, 0\) to \({n}, {m}\): Eigenvalues"):
+        SpectralDecomposition.build(haar_coin(), size)
+
+
+def test_exact_routes_hold_one_chunk_of_kernel_temporaries():
+    # a coin with no symmetry diagonalizes all N^2 blocks; the kernel's temporaries and
+    # checks live one chunk at a time, so the peaks stay near the full-grid results
+    # (with the whole stack's temporaries alive they were about 1370 and 1850 N^2 bytes)
+    coin, size = haar_coin(), 101
+    for call, bound in (
+        (lambda: SpectralDecomposition.build(coin, size), 1000),
+        (lambda: exact_time_average(coin, InitialSpec.pure("R"), size, "odd"), 1300),
+    ):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * size ** 2
+
+
 @pytest.mark.parametrize(
     "coin,matrices", list(zip(FOLD_COINS, [15, 25, 25, 25, 41, 81, 15])), ids=FOLD_IDS
 )
@@ -790,7 +845,7 @@ def assert_eigensystem(h, values, vectors, tol=1e-13):
 def test_kernel_orthonormalizes_exactly_degenerate_blocks(coin, expected):
     # block (0, 0) is the coin itself; eigh's columns span each repeated eigenspace
     # orthonormally, with no QR pass
-    values, vectors = spectral._eigensystems(coin, 0, 0, 9)
+    values, vectors = (a[0] for a in spectral._eigensystems(coin, [0], 9))
     assert np.abs(values - expected).max() < 1e-14
     # the copies of a repeated eigenvalue are replaced by their mean
     assert len(set(values.tolist())) == 2
@@ -809,7 +864,7 @@ def test_kernel_with_an_eigenvalue_on_a_candidate_pole(pole, others):
         rest = poles[[(pole + k) % 8 for k in (2, 4, 6)]]
     values = np.concatenate([poles[pole : pole + 1], rest])
     h = unitary_with_eigenvalues(values)
-    got, vectors = spectral._unitary_eigh(h)
+    got, vectors = (a[0] for a in spectral._unitary_eigh(h[None]))
     assert_eigensystem(h, got, vectors)
     assert multiset_gap(got, values) < 1e-13
 
@@ -825,9 +880,9 @@ def test_kernel_on_an_in_block_pair(gap, distinct):
     coin = custom_coin(unitary_with_eigenvalues(values))
     if distinct is None:
         with pytest.raises(SpectralError, match=r"eigenpair residual .* in block \(0, 0\)"):
-            spectral._eigensystems(coin, 0, 0, 9)
+            spectral._eigensystems(coin, [0], 9)
         return
-    got, vectors = spectral._eigensystems(coin, 0, 0, 9)
+    got, vectors = (a[0] for a in spectral._eigensystems(coin, [0], 9))
     assert_eigensystem(coin.entries, got, vectors, tol=1e-12)
     assert len(cluster_labels(got)[0]) == distinct
     assert multiset_gap(got, values) <= gap
@@ -1074,6 +1129,38 @@ def test_cluster_order_survives_last_bit_jitter(monkeypatch, coin):
     for before, after in zip(cluster_sequences(reference), cluster_sequences(moved)):
         assert [m for _, m in before] == [m for _, m in after]
         assert max(abs(a - b) for (a, _), (b, _) in zip(before, after)) < 1e-12
+
+
+EXPANSION_COINS = [grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.3), haar_coin()]
+EXPANSION_IDS = ["grover", "a1", "a2", "a4:0.3", "haar"]
+
+
+@pytest.mark.parametrize("coin", EXPANSION_COINS, ids=EXPANSION_IDS)
+def test_origin_eigenvalue_amplitudes_are_the_merged_expansion(coin):
+    spec = InitialSpec(0.5, 0.5j, -0.5, 0.5)
+    pairs = origin_eigenvalue_amplitudes(coin, spec, 9)
+    merged = origin_coefficients(coin, spec, 9).merged
+    assert len(pairs) == len(merged)
+    for (value, amp), (expected_value, expected_amp) in zip(pairs, merged):
+        assert value == expected_value and np.array_equal(amp, expected_amp)
+
+
+@pytest.mark.parametrize("size", [9, 21])
+@pytest.mark.parametrize("parity", ["all", "even", "odd"])
+@pytest.mark.parametrize("coin", EXPANSION_COINS, ids=EXPANSION_IDS)
+def test_exact_average_equals_the_pair_formula_bit_for_bit(coin, parity, size):
+    # the average from the (eigenvalue, amplitude) pairs of the merged expansion
+    spec = InitialSpec(0.5, 0.5j, -0.5, 0.5)
+    merged = origin_eigenvalue_amplitudes(coin, spec, size)
+    values = np.array([value for value, _ in merged])
+    amps = np.array([amp for _, amp in merged])
+    if parity != "all":
+        if parity == "odd":
+            amps = amps * values[:, None]
+        amps = sum_by_label(cluster_labels(values ** 2)[1], amps)
+    expected = (np.abs(amps) ** 2).sum(axis=0)
+    report = exact_time_average(coin, spec, size, parity=parity)
+    assert report.per_chirality == tuple(expected.tolist())
 
 
 @pytest.mark.parametrize("parity,sign", [("even", 1.0), ("odd", -1.0)])

@@ -419,3 +419,17 @@ def test_writers_without_longdouble_fall_back_to_python(monkeypatch, tmp_path):
     assert_kernel_matches_python(edge_values())
     state = evolve_spectral(origin_superposition(21, seeded_spec(7)), a1_coin(), 1)
     assert_writers_match_templates(state, tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_writers_return_the_grid_they_wrote(tmp_path, fmt):
+    state = evolve(origin_superposition(9, InitialSpec(0.5, 0.5j, -0.5, 0.5)), a1_coin(), 7)
+    path = tmp_path / f"grid.{fmt}"
+    if fmt == "csv":
+        grid = write_grid_csv(state, path)
+        written = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+    else:
+        grid = write_grid_json(state, path)
+        written = np.array([p for _, _, p in json.loads(path.read_text())["rows"]])
+    assert np.array_equal(grid, state.probability_grid())
+    assert np.array_equal(grid.ravel(), written)
