@@ -10,6 +10,7 @@ end, written with the host description to one BENCH_<seq>.json, along
 with the tracemalloc peaks of the three exact routes.
 
     python3 bench/trajectory.py SEQ --label TEXT
+    python3 bench/trajectory.py SEQ --label TEXT --against DIR
 
 Run from the root of a source checkout: `perfbench/scaling.py` imports
 the program from that checkout's `src/` and holds BLAS to the
@@ -21,6 +22,16 @@ log(N), and null for a path timed at one size.  The Haar coin is
 initial state its `origin_weights` at seed 101.  A peak is the one of
 `perfbench/tracer.py`'s `peak_alloc` over one call after a warm-up call,
 in bytes per N^2 block.  The file lands next to this script.
+
+With --against DIR, another source checkout such as the parent commit's,
+the file holds paired timings instead: two long-lived worker processes,
+one importing each tree's program, take turns call by call on the rows
+of `paired_paths`, PAIRS pairs per row and size, the order flipped every
+pair, after one warm-up call each.  Every row gets both trees' medians,
+the per-pair ratio of this tree's time to DIR's with its quartiles, and
+the count of pairs this tree won; the tracemalloc peaks of
+`paired_peaks` come from each worker too.  Rows of unchanged code then
+read near 1 even when the host's clock drifts between minutes.
 """
 
 from __future__ import annotations
@@ -34,12 +45,17 @@ import os
 import pathlib
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
 HERE = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent / "perfbench"))
+#: The checkout whose program this process times: this one, or the one a
+#: paired run's worker was started on with `--serve DIR`.
+TREE = (pathlib.Path(sys.argv[sys.argv.index("--serve") + 1]).resolve()
+        if "--serve" in sys.argv else HERE.parent)
+sys.path.insert(0, str(TREE / "perfbench"))
 
 # scaling sets the thread environment before numpy loads, so it comes first
 from scaling import ROOT, THREADS, _paths, qw, slope  # noqa: E402
@@ -72,6 +88,11 @@ WRITER_STEPS = 200
 #: Sizes of the exact commands end to end and of the exact routes' memory peaks.
 EXACT_SIZES = (51, 101, 201)
 PEAK_SIZES = (41, 101, 201)
+#: Pairs of calls per row and size in a paired run, and its sizes.
+PAIRS = 15
+PAIRED_SIZES = (101, 201)
+#: Samples of the paired `scan-alpha` row.
+SCAN_SAMPLES = 2001
 
 
 def trajectory_paths(lattice):
@@ -220,6 +241,117 @@ def peak_paths():
     return paths
 
 
+def paired_paths(tmp: pathlib.Path):
+    """
+    The rows of a paired run: `SpectralDecomposition.build`, its `to_json`,
+    `origin_coefficients` and the `spectrum` and `predict` commands for each
+    of `exact_coins` at PAIRED_SIZES, the four grid writers at N = 201, and
+    `scan-alpha` through `qwalk2d.cli.main`.
+    """
+    pure_r = qw.InitialSpec.pure("R")
+    coins = exact_coins()
+    built = functools.cache(lambda name, n: qw.SpectralDecomposition.build(coins[name], n))
+    paths = []
+    for name, coin in coins.items():
+        paths += [
+            (f"SpectralDecomposition.build({name})", PAIRED_SIZES,
+             functools.partial(qw.SpectralDecomposition.build, coin)),
+            (f"SpectralDecomposition.to_json({name})", PAIRED_SIZES,
+             lambda n, name=name: built(name, n).to_json()),
+            (f"origin_coefficients({name}, R)", PAIRED_SIZES,
+             lambda n, coin=coin: qw.origin_coefficients(coin, pure_r, n)),
+        ]
+    paths += [(name, PAIRED_SIZES, fn) for name, _, fn in command_paths(tmp)
+              if name.startswith(("spectrum", "predict"))]
+    paths += [(name, (201,), fn) for name, _, fn in writer_paths(tmp)
+              if name.startswith("write_grid")]
+
+    def scan(samples):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["scan-alpha", "--samples", str(samples)]) != 0:
+                raise RuntimeError("scan-alpha exited non-zero")
+
+    return paths + [("scan-alpha", (SCAN_SAMPLES,), scan)]
+
+
+def paired_peaks():
+    """The exact routes whose peaks a paired run records, at N = 101."""
+    return [(name, (101,), fn) for name, fn in peak_paths()
+            if not name.startswith("exact_time_average")]
+
+
+def serve() -> int:
+    """
+    A paired run's worker: answer each request line [kind, path, n] on stdin
+    with one line, the seconds of one call of that path ("time") or its
+    tracemalloc peak in bytes per N^2 ("peak").
+    """
+    with tempfile.TemporaryDirectory(dir=HERE.parent) as tmp:
+        paths = {name: fn for name, _, fn in paired_paths(pathlib.Path(tmp)) + paired_peaks()}
+        print(json.dumps("ready"), flush=True)
+        for line in sys.stdin:
+            kind, name, n = json.loads(line)
+            if kind == "peak":
+                paths[name](n)
+                answer = peak_alloc(paths[name], n) / n ** 2
+            else:
+                start = time.perf_counter()
+                paths[name](n)
+                answer = time.perf_counter() - start
+            print(json.dumps(answer), flush=True)
+    return 0
+
+
+def paired(against: pathlib.Path) -> dict:
+    """Rows and peaks of this tree against the checkout `against`, timed in turns."""
+    workers = [subprocess.Popen(
+        [sys.executable, __file__, "--serve", str(tree)], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True) for tree in (HERE.parent, against)]
+
+    def ask(worker, *request):
+        worker.stdin.write(json.dumps(request) + "\n")
+        worker.stdin.flush()
+        return json.loads(worker.stdout.readline())
+
+    try:
+        for worker in workers:
+            if json.loads(worker.stdout.readline()) != "ready":
+                raise RuntimeError("a worker did not start")
+        with tempfile.TemporaryDirectory(dir=ROOT) as tmp:
+            rows = [(name, sizes) for name, sizes, _ in paired_paths(pathlib.Path(tmp))]
+        table = []
+        for name, sizes in rows:
+            for n in sizes:
+                for worker in workers:
+                    ask(worker, "time", name, n)
+                times = ([], [])
+                for k in range(PAIRS):
+                    for side in (0, 1) if k % 2 == 0 else (1, 0):
+                        times[side].append(ask(workers[side], "time", name, n))
+                ratios = [mine / theirs for mine, theirs in zip(*times)]
+                q1, median, q3 = statistics.quantiles(ratios, n=4)
+                table.append({"path": name, "N": n,
+                              "median_s": statistics.median(times[0]),
+                              "against_median_s": statistics.median(times[1]),
+                              "ratio_median": median, "ratio_quartiles": [q1, q3],
+                              "faster_pairs": sum(r < 1.0 for r in ratios)})
+                print(f"{name:48s} N={n:<5d} ratio {median:.3f} [{q1:.3f}, {q3:.3f}]  "
+                      f"faster in {table[-1]['faster_pairs']} of {PAIRS}", flush=True)
+        peaks = []
+        for name, sizes, _ in paired_peaks():
+            for n in sizes:
+                mine, theirs = (ask(worker, "peak", name, n) for worker in workers)
+                peaks.append({"path": name, "N": n, "peak_bytes_per_n2": mine,
+                              "against_peak_bytes_per_n2": theirs})
+                print(f"{name:48s} N={n:<5d} peak bytes / N^2 {mine:.0f} against {theirs:.0f}",
+                      flush=True)
+    finally:
+        for worker in workers:
+            worker.stdin.close()
+            worker.wait()
+    return {"pairs_per_row": PAIRS, "paths": table, "peaks": peaks}
+
+
 def timed(fn, n):
     """Median, first and third quartile of CALLS calls of fn(n), after one warm-up call."""
     fn(n)
@@ -236,7 +368,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seq", type=int, help="sequence number in the file name")
     parser.add_argument("--label", required=True, help="which source tree was timed")
+    parser.add_argument("--against", type=pathlib.Path,
+                        help="time against this source checkout, in pairs of calls")
     args = parser.parse_args(argv)
+    host = {"cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__, "threads": THREADS}
+    if args.against is not None:
+        payload = {"seq": args.seq, "label": args.label, "host": host,
+                   **paired(args.against.resolve())}
+        return write(payload)
     paths = []
     with tempfile.TemporaryDirectory(dir=ROOT) as tmp:
         scaling_paths = _paths(pathlib.Path(tmp))
@@ -262,20 +402,16 @@ def main(argv=None) -> int:
         peaks.append({"path": name, "peak_bytes_per_n2": per_block})
         cells = "  ".join(f"N={n}: {b:.0f}" for n, b in per_block.items())
         print(f"{name:48s} peak bytes / N^2   {cells}", flush=True)
-    payload = {
-        "seq": args.seq,
-        "label": args.label,
-        "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                 "numpy": np.__version__, "scipy": scipy.__version__, "threads": THREADS},
-        "calls_per_size": CALLS,
-        "paths": paths,
-        "peaks": peaks,
-    }
-    out = HERE / f"BENCH_{args.seq}.json"
+    return write({"seq": args.seq, "label": args.label, "host": host,
+                  "calls_per_size": CALLS, "paths": paths, "peaks": peaks})
+
+
+def write(payload: dict) -> int:
+    out = HERE / f"BENCH_{payload['seq']}.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(serve() if "--serve" in sys.argv else main())

@@ -128,10 +128,10 @@ def parse_initial(text: str) -> InitialSpec:
 
 #: Default time horizon of `timeavg --method empirical`.
 EMPIRICAL_SAMPLES = 20000
-#: Largest `--n`.  One state takes 64 N^2 bytes and the eigenvector stack
-#: of the exact commands 256 N^2.  By tracemalloc at N = 101 and 201, a coin
-#: with no symmetry peaks near 1060 N^2 bytes in `timeavg --method exact
-#: --parity odd` and 750 N^2 in `spectrum` and `predict`: 1.1 GB at N = 1001.
+#: Largest `--n`.  A state takes 64 N^2 bytes, the exact commands' eigenvectors 256 N^2.  By
+#: tracemalloc at N = 101 and 201, a coin with no symmetry peaks near 1150 N^2 bytes in `spectrum`
+#: to stdout (it holds the whole text), 1060 N^2 in `timeavg --method exact --parity odd` and at
+#: most 620 N^2 in `spectrum --out` and `predict`: 1.2 GB at N = 1001.
 MAX_N = 1001
 
 

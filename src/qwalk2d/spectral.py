@@ -46,17 +46,16 @@ through projectors, never individual vectors.
 from __future__ import annotations
 
 import itertools
-import pathlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coins import Coin, grover_coin
 from .evolve import check_norm
-from .state import InitialSpec, WalkState, _check_size, _json_parts
+from .state import InitialSpec, WalkState, _check_size, _json_frame, _table_rows, _write_parts
 
 __all__ = [
-    "MomentumBlock",
     "OriginExpansion",
     "ClassCoefficients",
     "SpectralDecomposition",
@@ -307,12 +306,16 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int) -> tuple[np.ndarray,
             centres, labels = cluster_labels(found[b])
             found[b] = centres[labels]
         found, columns = _sorted(found, columns)
+        # batch-last (4, 4, B) copies: their einsum takes under half a stacked matmul's time
+        h, v = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (h, columns))
+        adjoint = np.ascontiguousarray(columns.conj().transpose(2, 1, 0))
         checks = (
-            ("eigenpair residual", h @ columns - columns * found[:, None, :]),
-            ("eigenvector unitarity error", columns.conj().swapaxes(-1, -2) @ columns - np.eye(4)),
+            ("eigenpair residual", np.einsum("ijb,jkb->ikb", h, v) - v * found.T),
+            ("eigenvector unitarity error",
+             np.einsum("ijb,jkb->ikb", adjoint, v) - np.eye(4)[..., None]),
         )
         for what, error in checks:
-            error = np.abs(error).max(axis=(-2, -1))
+            error = np.abs(error).max(axis=(0, 1))
             worst = np.argmax(error)
             if not error[worst] <= RESIDUAL_TOL:
                 raise SpectralError(
@@ -361,26 +364,11 @@ def _grid_eigensystems(coin: Coin, size: int) -> tuple[np.ndarray, np.ndarray]:
     return values.reshape(size, size, 4), vectors.reshape(size, size, 4, 4)
 
 
-@dataclass(frozen=True)
-class MomentumBlock:
+def build_block(coin: Coin, n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
-    One momentum block with its numeric eigensystem.
-
-    `eigenvectors` holds unit column vectors paired with `eigenvalues`;
-    within each degenerate eigenvalue the columns are orthonormalized.
-    """
-
-    n: int
-    m: int
-    size: int
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
-    """
-    Assemble block (n, m) and diagonalize it numerically.
+    Diagonalize block (n, m) numerically: its eigenvalues (4,), ordered as
+    in `_eigensystems`, and the paired unit eigenvector columns (4, 4),
+    orthonormal within each degenerate eigenvalue.
 
     Raises
     ------
@@ -392,7 +380,7 @@ def build_block(coin: Coin, n: int, m: int, size: int) -> MomentumBlock:
     if not (0 <= n < size and 0 <= m < size):
         raise ValueError(f"momenta must lie in 0..{size - 1}, got ({n}, {m})")
     values, vectors = _eigensystems(coin, np.array([n * size + m]), size)
-    return MomentumBlock(n, m, size, block_matrix(coin, n, m, size), values[0], vectors[0])
+    return values[0], vectors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +468,8 @@ def a1_eigenvalues(n: int, m: int, size: int) -> np.ndarray:
 # Clustered global spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenvalueCluster:
-    """A distinct eigenvalue of the full walk operator with its multiplicity."""
-
-    value: complex
-    multiplicity: int
+#: A distinct eigenvalue of the full walk operator with its multiplicity.
+EigenvalueCluster = namedtuple("EigenvalueCluster", ["value", "multiplicity"])
 
 
 @dataclass(frozen=True)
@@ -495,69 +479,69 @@ class SpectralDecomposition:
     global spectrum.
 
     `values` (N, N, 4) holds each block's eigenvalues in the order of
-    `build_block`; `labels` (N, N, 4) gives the index in `clusters` of each
-    entry of `values`.
+    `build_block`; `labels` (N, N, 4) gives the cluster of each entry of
+    `values`, an index into `centres` (K,), the cluster means in the order
+    of `cluster_labels`, and `multiplicities` (K,), their member counts.
     """
 
     coin: Coin
     size: int
     values: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
-    clusters: tuple[EigenvalueCluster, ...] = field(repr=False)
+    centres: np.ndarray = field(repr=False)
+    multiplicities: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, coin: Coin, size: int) -> "SpectralDecomposition":
         values = _grid_eigensystems(coin, size)[0]
         centres, labels = cluster_labels(values.ravel())
-        clusters = tuple(
-            map(EigenvalueCluster, centres.tolist(), np.bincount(labels).tolist())
-        )
-        return cls(coin, size, values, labels.reshape(values.shape), clusters)
+        return cls(coin, size, values, labels.reshape(values.shape), centres, np.bincount(labels))
+
+    @property
+    def clusters(self) -> tuple[EigenvalueCluster, ...]:
+        """The clusters as objects, in the order of `centres`, built on each access."""
+        return tuple(map(EigenvalueCluster, self.centres.tolist(), self.multiplicities.tolist()))
 
     def common_eigenvalues(self) -> tuple[complex, ...]:
         """Eigenvalues present in every momentum block."""
         labels = np.sort(self.labels.reshape(-1, 4), axis=-1)
         # count each cluster once per block: at its first place in the block's sorted labels
-        first = np.ones(labels.shape, dtype=bool)
-        first[:, 1:] = labels[:, 1:] != labels[:, :-1]
-        present = np.bincount(labels[first], minlength=len(self.clusters))
-        return tuple(self.clusters[k].value for k in np.flatnonzero(present == self.size ** 2))
+        first = np.diff(labels, axis=-1, prepend=-1) != 0
+        present = np.bincount(labels[first], minlength=len(self.centres))
+        return tuple(self.centres[present == self.size ** 2].tolist())
 
     def max_multiplicity(self) -> int:
-        return int(np.bincount(self.labels.ravel()).max())
+        return int(self.multiplicities.max())
 
-    def _ordered(self) -> list[EigenvalueCluster]:
-        return sorted(self.clusters, key=lambda c: -c.multiplicity)
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Multiplicities and real and imaginary parts, by falling multiplicity, ties in order."""
+        order = np.argsort(-self.multiplicities, kind="stable")
+        return self.multiplicities[order], self.centres.real[order], self.centres.imag[order]
 
     def to_payload(self) -> dict:
-        return {
-            "coin": self.coin.label,
-            "N": self.size,
-            "clusters": [
-                {
-                    "value": [cluster.value.real, cluster.value.imag],
-                    "multiplicity": cluster.multiplicity,
-                }
-                for cluster in self._ordered()
-            ],
-        }
+        rows = zip(*(column.tolist() for column in self._rows()))
+        return {"coin": self.coin.label, "N": self.size, "clusters": [
+            {"value": [re, im], "multiplicity": count} for count, re, im in rows]}
 
     def to_json(self) -> str:
-        """
-        The bytes of `json.dumps(self.to_payload(), indent=2, sort_keys=True)`
-        plus a newline, with the clusters formatted by one row template:
-        `indent` turns off json's C encoder.
-        """
-        ordered = self._ordered()
-        values = tuple(itertools.chain.from_iterable(
-            (c.multiplicity, c.value.real, c.value.imag) for c in ordered))
-        return "".join(_json_parts(
-            {"coin": self.coin.label, "N": self.size}, "clusters",
-            '    {\n      "multiplicity": %d,\n      "value": [\n        %r,\n        %r\n'
-            "      ]\n    }", len(ordered), values))
+        """`json.dumps(self.to_payload(), indent=2, sort_keys=True)` plus a newline."""
+        return "".join(self._json_text())
 
     def write_json(self, path) -> None:
-        pathlib.Path(path).write_text(self.to_json())
+        """Write `to_json`'s text a chunk of rows at a time, never joining it."""
+        _write_parts(path, self._json_text())
+
+    def _json_text(self):
+        counts, real, imag = self._rows()
+        # the counts fall: one name per run of equal counts (np.unique's code costs RSS)
+        new = np.diff(counts, prepend=-1) != 0
+        head, tail = _json_frame({"coin": self.coin.label, "N": self.size}, "clusters")
+        rows = _table_rows(
+            ['    {\n      "multiplicity": ', ',\n      "value": [\n        ',
+             ",\n        ", "\n      ]\n    }"],
+            [(np.array(list(map(str, counts[new].tolist())), "S"), np.cumsum(new) - 1), real, imag],
+            shortest=True, join=",\n")
+        return itertools.chain([head], rows, [tail])
 
 
 # ---------------------------------------------------------------------------
@@ -661,14 +645,15 @@ class OriginExpansion:
     Eigenvalue-grouped coefficient table of the origin wavefunction for an
     origin-localized initial state.
 
-    `c_plus` and `c_minus` aggregate the +1 and -1 contributions per
-    chirality; `classes` itemizes every class including those aggregated
-    into `c_plus`/`c_minus`.  For the diffusion coin the classes follow
-    the momentum orbits (labeled by representative and k): first the
-    clusters of block (0, 0), then the axis, diagonal and generic orbits,
-    each group by representative and each orbit by k = 1..4.  For other
-    coins they are numeric eigenvalue clusters in the order of
-    `cluster_labels`.
+    `eigenvalues` (K,), in the order of `cluster_labels`, `weights` (K, 4)
+    in the convention of `ClassCoefficients` and `multiplicities` (K,) hold
+    one row per distinct eigenvalue.  `c_plus` and `c_minus` aggregate the
+    +1 and -1 contributions per chirality; `classes` itemizes every class
+    including those aggregated into `c_plus`/`c_minus`.  For the diffusion
+    coin the classes follow the momentum orbits (labeled by representative
+    and k): first the clusters of block (0, 0), then the axis, diagonal and
+    generic orbits, each group by representative and each orbit by
+    k = 1..4.  For other coins they are the rows above, built on access.
     """
 
     coin_label: str
@@ -676,8 +661,20 @@ class OriginExpansion:
     initial: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
-    classes: tuple[ClassCoefficients, ...]
-    merged: tuple[tuple[complex, np.ndarray], ...]
+    eigenvalues: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    multiplicities: np.ndarray = field(repr=False)
+    orbit_classes: tuple[ClassCoefficients, ...] | None = field(default=None, repr=False)
+
+    @property
+    def classes(self) -> tuple[ClassCoefficients, ...]:
+        return self.orbit_classes or tuple(map(ClassCoefficients, self.eigenvalues.tolist(),
+                                               self.weights, self.multiplicities.tolist()))
+
+    @property
+    def merged(self) -> tuple[tuple[complex, np.ndarray], ...]:
+        """The pairs (l, A_l) of `origin_eigenvalue_amplitudes`, built on each access."""
+        return tuple(zip(self.eigenvalues.tolist(), self.weights / self.size ** 2))
 
     def amplitude(self, t: int) -> np.ndarray:
         """Origin amplitude 4-vector at time t from the expansion."""
@@ -767,22 +764,16 @@ def origin_coefficients(
         sums[np.abs(centres - target) <= DEGENERACY_TOL].sum(axis=0)
         for target in (1.0, -1.0)
     )
-    if _is_grover(coin):
-        classes = _grover_classes(values, terms, size)
-    else:
-        counts = np.bincount(labels).tolist()
-        classes = [
-            ClassCoefficients(value, total, count)
-            for value, total, count in zip(centres.tolist(), sums, counts)
-        ]
     return OriginExpansion(
         coin_label=coin.label,
         size=size,
         initial=weights,
         c_plus=c_plus,
         c_minus=c_minus,
-        classes=tuple(classes),
-        merged=tuple(zip(centres.tolist(), sums / size ** 2)),
+        eigenvalues=centres,
+        weights=sums,
+        multiplicities=np.bincount(labels),
+        orbit_classes=tuple(_grover_classes(values, terms, size)) if _is_grover(coin) else None,
     )
 
 

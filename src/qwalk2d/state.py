@@ -6,10 +6,11 @@ odd.  Internally amplitudes live in a complex array indexed by
 (x mod N, y mod N, chirality), which puts the origin at index (0, 0) and
 turns periodic shifts into plain array rolls.
 
-The grid writers print every probability with the bytes of Python's own
-`"%.17g" %` or `repr`, but take the digits from one vectorized kernel
-(`_decimal_digits`) and hand Python only the values the kernel cannot
-certify.
+Every table the program writes (grids, spectra, alpha scans) goes
+through one row writer, `_table_rows`.  It prints each number with the
+bytes of Python's own `"%.17g" %` or `repr`, but takes the digits from one
+vectorized kernel (`_decimal_digits`) and hands Python only the values the
+kernel cannot certify.
 """
 
 from __future__ import annotations
@@ -235,23 +236,15 @@ def _json_frame(payload: dict, key: str) -> tuple:
     return f'{head}\n  "{key}": [\n', f"\n  ]{tail}\n"
 
 
-def _json_parts(payload: dict, key: str, row: str, count: int, values: tuple) -> tuple:
-    """
-    `_json_frame`'s head, the `count` > 0 items of payload[key], each
-    written by the `%` template `row` from its share of the flat tuple
-    `values`, and the tail.
-    """
-    head, tail = _json_frame(payload, key)
-    return head, ",\n".join([row] * count) % values, tail
-
-
-#: Grid rows formatted per pass of `_grid_rows`; bounds the writers' buffers.
-GRID_CHUNK_ROWS = 4096
+#: Rows formatted per pass of `_table_rows`; bounds the writers' buffers.
+TABLE_CHUNK_ROWS = 4096
+#: Fewest values for the kernel: its ~40 numpy calls cost more than Python's text below ~300.
+KERNEL_MIN_VALUES = 256
 #: Exponents k of the table of 10**k that scales a double to 17 digits.
 _POWER_RANGE = range(-293, 326)
-#: The columns of one number in `_grid_rows`: "0.000", the 17 digits, ".",
-#: the last 16 digits again, ".0", "e", the exponent's sign and 3 digits.
-_NUMBER_TEMPLATE = np.frombuffer(b"0.000" + b"0" * 17 + b"." + b"0" * 16 + b".0e+000", np.uint8)
+#: The columns of one number in `_table_rows`: the sign, "0.000", the 17
+#: digits, ".", the last 16 digits again, ".0", "e", the exponent's sign and 3 digits.
+_NUMBER_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b".0e+000", np.uint8)
 
 
 @functools.cache
@@ -275,8 +268,8 @@ def _decimal_scale():
 @functools.cache
 def _digit_quads() -> np.ndarray:
     """The ASCII of "0000" ... "9999" as 10,000 native uint32 words."""
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    return digits.astype(np.uint8).view(np.uint32).ravel()
+    ascii = np.frombuffer(b"0123456789", np.uint8)  # int64 temporaries raised the peak RSS
+    return np.stack(np.meshgrid(*[ascii] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 
 
 def _glyphs(digits: np.ndarray) -> np.ndarray:
@@ -305,29 +298,29 @@ def _significant(digits: np.ndarray) -> np.ndarray:
 
 def _decimal_digits(values: np.ndarray, shortest: bool):
     """
-    The decimal digits of each value's text: `repr(v)` when `shortest`,
-    else `"%.17g" % v`.
+    The decimal digits of each value's text after its sign: `repr(v)` when
+    `shortest`, else `"%.17g" % v`, both of which write -v as "-" and the
+    text of v.
 
     Returns (digits, exponent, done): where done, the text's significant
     digits are the leading digits of the 17-digit int64 `digits` (padded
-    with zeros) and its first digit stands at 10**exponent; exact zeros
-    give 0 and 0.  A value is done only when every rounding decision made
-    on it clears `_decimal_scale`'s bound, so it is never wrong; the
-    others (negative, subnormal, non-finite, powers of two, whose
+    with zeros) and its first digit stands at 10**exponent; zeros of
+    either sign give 0 and 0.  A value is done only when every rounding
+    decision made on it clears `_decimal_scale`'s bound, so it is never
+    wrong; the others (subnormal, non-finite, powers of two, whose
     round-trip interval is asymmetric, and any value too near a decision
     boundary) are left to Python's formatting.
 
-    Each positive normal v is scaled to y = v * 10**(16 - E) in
-    [1e16, 1e17) in np.longdouble, with E = floor(log10(v)) corrected
-    once.  "%.17g" rounds y to an integer.  `repr` takes the fewest
-    digits n whose nearest n-digit decimal lies strictly inside the
-    round-trip interval y +- h, h half the spacing of doubles at v; the
-    nearest one is inside whenever any is, and n = 17 always fits
-    (h > 0.55 units of the 17th digit).
+    Each normal |v| is scaled to y = |v| * 10**(16 - E) in [1e16, 1e17)
+    in np.longdouble, with E = floor(log10(|v|)) corrected once.  "%.17g"
+    rounds y to an integer.  `repr` takes the fewest digits n whose nearest
+    n-digit decimal lies strictly inside the round-trip interval y +- h, h
+    half the spacing of doubles at |v|; the nearest one is inside whenever
+    any is, and n = 17 always fits (h > 0.55 units of the 17th digit).
     """
-    digits = np.zeros(values.shape, np.int64)
-    exponent = np.zeros(values.shape, np.int64)
-    done = (values == 0.0) & ~np.signbit(values)
+    values = np.abs(values)
+    digits, exponent = np.zeros((2,) + values.shape, np.int64)
+    done = values == 0.0
     scale = _decimal_scale()
     if scale is None:
         return digits, exponent, done
@@ -387,7 +380,8 @@ def _layouts(shortest: bool) -> np.ndarray:
     Which columns of _NUMBER_TEMPLATE, with the digits filled in, spell a
     number as repr (`shortest`) or "%.17g" writes it, one row per form
     and count of significant digits `used` (1 ... 17), row form * 18 +
-    used.  Forms 0 ... 20 have the first digit at 10**(form - 4), 21 and
+    used, each row one void item (`take` copies those faster than rows of
+    bools).  Forms 0 ... 20 have the first digit at 10**(form - 4), 21 and
     22 are exponential with two and three exponent digits.
 
     Fixed notation (10**-4 <= v < 10**16, 10**17 for "%.17g") keeps
@@ -401,7 +395,7 @@ def _layouts(shortest: bool) -> np.ndarray:
     fixed = (exponent >= -4) & (exponent < (16 if shortest else 17))
     head = np.where(fixed, np.where(exponent < 0, used, exponent + 1), 1)
     col = np.arange(17)
-    return np.concatenate([
+    table = np.concatenate([
         fixed & (exponent < 0) & (col[:5] < 1 - exponent),
         col < head,
         used > head,
@@ -411,15 +405,13 @@ def _layouts(shortest: bool) -> np.ndarray:
         ~fixed & (np.abs(exponent) >= 100),
         np.repeat(~fixed, 2, axis=1),
     ], axis=1)
+    return table.view(f"V{table.shape[1]}").ravel()
 
 
 @functools.cache
 def _exponent_words() -> np.ndarray:
     """The ASCII of the sign and three digits of each exponent -400 ... 400, as uint32 words."""
-    exponent = np.arange(-400, 401)
-    text = np.abs(exponent)[:, None] // np.array([1, 100, 10, 1]) % 10 + ord("0")
-    text[:, 0] = np.where(exponent < 0, ord("-"), ord("+"))
-    return text.astype(np.uint8).view(np.uint32).ravel()
+    return np.frombuffer("".join(f"{e:+04d}" for e in range(-400, 401)).encode(), np.uint32)
 
 
 def _number_columns(block: np.ndarray, keep: np.ndarray, values: np.ndarray,
@@ -427,60 +419,68 @@ def _number_columns(block: np.ndarray, keep: np.ndarray, values: np.ndarray,
     """
     Fill `block`, m rows of _NUMBER_TEMPLATE, with the text of each value,
     repr or "%.17g" as `_decimal_digits` says, and mark in `keep` which of
-    its columns the text uses (`_layouts`): the kept columns of a row, in
-    order, are the text.  Values the kernel leaves undone take Python's
-    own text.
+    its columns the text uses (the sign where `np.signbit` is set, then
+    `_layouts`): the kept columns of a row, in order, are the text.
+    Values the kernel leaves undone take Python's own text, as do all
+    values of a call with fewer than KERNEL_MIN_VALUES.
     """
-    digits, exponent, done = _decimal_digits(values, shortest)
-    glyphs = _glyphs(digits)
-    block[:, 5:22] = glyphs
-    block[:, 23:39] = glyphs[:, 1:]
-    block[:, 42:] = _exponent_words()[exponent + 400, None].view(np.uint8)
-    used = _significant(digits)
-    fixed = (exponent >= -4) & (exponent < (16 if shortest else 17))
-    form = np.where(fixed, exponent + 4, np.where(np.abs(exponent) < 100, 21, 22))
-    keep[:] = _layouts(shortest)[form * 18 + used]
-    rest = np.flatnonzero(~done)
+    rest = np.arange(len(values))
+    if len(values) >= KERNEL_MIN_VALUES:
+        digits, exponent, done = _decimal_digits(values, shortest)
+        glyphs = _glyphs(digits)
+        block[:, 6:23] = glyphs
+        block[:, 24:40] = glyphs[:, 1:]
+        block[:, 43:] = _exponent_words()[exponent + 400, None].view(np.uint8)
+        used = _significant(digits)
+        fixed = (exponent >= -4) & (exponent < (16 if shortest else 17))
+        form = np.where(fixed, exponent + 4, np.where(np.abs(exponent) < 100, 21, 22))
+        keep[:, 0] = np.signbit(values)
+        keep[:, 1:] = _layouts(shortest).take(form * 18 + used).view(bool).reshape(len(rest), -1)
+        rest = np.flatnonzero(~done)
     if rest.size:
         text = repr if shortest else "%.17g".__mod__
-        words = np.array([text(v).encode() for v in values[rest].tolist()])
-        width = words.dtype.itemsize
-        block[rest, :width] = words.view(np.uint8).reshape(rest.size, width)
-        keep[rest] = np.arange(block.shape[1]) < np.char.str_len(words)[:, None]
+        words = np.array([text(v).encode() for v in values[rest].tolist()], f"S{block.shape[1]}")
+        words = words.view(np.uint8).reshape(rest.size, -1)
+        block[rest], keep[rest] = words, words > 0  # numpy pads bytes with NUL
 
 
-def _grid_rows(grid: np.ndarray, lead: str, between: str, trail: str, join: str,
-               shortest: bool):
+def _table_rows(parts: list, columns: list, shortest: bool, join: str = ""):
     """
-    Yield the text of every site's row of a probability grid, x-major in
-    centered coordinates, about GRID_CHUNK_ROWS rows (whole lines of
-    constant x) at a time: `lead`, x, `between`, y, `between`, p and
-    `trail`, rows separated by `join`.  p is repr(p) when `shortest`, else "%.17g" % p, both from
-    `_number_columns`.
+    Yield the text of a table, TABLE_CHUNK_ROWS rows at a time.  Row r is
+    parts[0], entry r of the first column, parts[1], and so on up to the
+    last column and parts[-1]; rows are separated by `join`.  A column is
+    either a pair (names, index), entries of the bytes array `names` picked
+    by the integer array `index`, or a float64 array, each entry written by
+    `_number_columns` as repr(v) when `shortest`, else "%.17g" % v.
     """
-    n = len(grid)
-    names = np.array([str(c).encode() for c in coords(n).tolist()])
-    width = names.dtype.itemsize
-    name_keep = np.arange(width) < np.char.str_len(names)[:, None]
-    names = names.view(np.uint8).reshape(n, width)
-    blank = bytes(width)  # the coordinates' columns, filled per line
-    row = np.frombuffer(b"".join([lead.encode(), blank, between.encode(), blank,
-                                  between.encode(), _NUMBER_TEMPLATE, (trail + join).encode()]),
-                        np.uint8)
-    x = len(lead)
-    y = x + width + len(between)
-    number = slice(y + width + len(between), y + width + len(between) + _NUMBER_TEMPLATE.size)
-    lines = max(1, GRID_CHUNK_ROWS // n)
-    for first in range(0, n, lines):
-        xs = slice(first, min(first + lines, n))
-        text = np.empty((xs.stop - xs.start, n, row.size), np.uint8)
-        keep = np.empty(text.shape, bool)
+    layout, places, tables = [parts[0].encode()], [], []
+    for column, part in zip(columns, parts[1:]):
+        if isinstance(column, tuple):
+            # one void item per NUL-padded name: `take` copies those as fast as a broadcast
+            width = column[0].itemsize
+            template, table = bytes(width), column[0].view(f"V{width}")
+        else:
+            template, table = _NUMBER_TEMPLATE.tobytes(), None
+        at = sum(map(len, layout))
+        places.append(slice(at, at + len(template)))
+        tables.append(table)
+        layout += [template, part.encode()]
+    row = np.frombuffer(b"".join(layout + [join.encode()]), np.uint8)
+    count = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    # one buffer pair serves every chunk: each yielded text is a copy
+    text = np.empty((min(TABLE_CHUNK_ROWS, count), row.size), np.uint8)
+    keep = np.empty(text.shape, bool)
+    for start in range(0, count, TABLE_CHUNK_ROWS):
+        stop = min(start + TABLE_CHUNK_ROWS, count)
+        text, keep = text[:stop - start], keep[:stop - start]
         text[...], keep[...] = row, True
-        text[:, :, x:x + width], keep[:, :, x:x + width] = names[xs, None], name_keep[xs, None]
-        text[:, :, y:y + width], keep[:, :, y:y + width] = names, name_keep
-        text, keep = text.reshape(-1, row.size), keep.reshape(-1, row.size)
-        _number_columns(text[:, number], keep[:, number], grid[xs].ravel(), shortest)
-        if xs.stop == n:
+        for place, column, table in zip(places, columns, tables):
+            if table is None:
+                _number_columns(text[:, place], keep[:, place], column[start:stop], shortest)
+            else:
+                names = table.take(column[1][start:stop]).view(np.uint8).reshape(stop - start, -1)
+                text[:, place], keep[:, place] = names, names > 0
+        if stop == count:
             keep[-1, row.size - len(join):] = False
         yield str(text[keep].data, "ascii")
 
@@ -492,6 +492,14 @@ def _write_parts(path, parts) -> None:
             out.write(part)
 
 
+def _grid_columns(grid: np.ndarray) -> list:
+    """The columns x, y and p of a probability grid's table, x-major in centered coordinates."""
+    n = len(grid)
+    names = np.array(list(map(str, coords(n).tolist())), "S")
+    lines = np.arange(n, dtype=np.min_scalar_type(n))
+    return [(names, lines.repeat(n)), (names, lines[None].repeat(n, axis=0).ravel()), grid.ravel()]
+
+
 def write_grid_csv(state: WalkState, path) -> np.ndarray:
     """
     Write the probability grid as CSV: a header `x,y,p`, then one row per
@@ -500,8 +508,8 @@ def write_grid_csv(state: WalkState, path) -> np.ndarray:
     byte Python's `"%.17g" % p`.  Returns the grid it wrote.
     """
     grid = state.probability_grid()
-    _write_parts(path, itertools.chain(
-        ["x,y,p\n"], _grid_rows(grid, "", ",", "\n", "", shortest=False)))
+    rows = _table_rows(["", ",", ",", "\n"], _grid_columns(grid), shortest=False)
+    _write_parts(path, itertools.chain(["x,y,p\n"], rows))
     return grid
 
 
@@ -517,6 +525,7 @@ def write_grid_json(state: WalkState, path, *, coin: str = "", initial: str = ""
     payload = {"coin": coin, "N": state.n, "t": state.t, "initial": initial,
                "columns": ["x", "y", "p"]}
     head, tail = _json_frame(payload, "rows")
-    rows = _grid_rows(grid, "    [\n      ", ",\n      ", "\n    ]", ",\n", shortest=True)
+    rows = _table_rows(["    [\n      ", ",\n      ", ",\n      ", "\n    ]"],
+                       _grid_columns(grid), shortest=True, join=",\n")
     _write_parts(path, itertools.chain([head], rows, [tail]))
     return grid

@@ -45,7 +45,7 @@ from .spectral import (
     cluster_labels,
     sum_by_label,
 )
-from .state import ConsistencyError, InitialSpec, WalkState, _check_size
+from .state import ConsistencyError, InitialSpec, WalkState, _check_size, _table_rows
 
 __all__ = [
     "AlphaExtrema",
@@ -334,9 +334,8 @@ def scan_alpha(samples: int) -> np.ndarray:
 
 def scan_csv(samples: int) -> str:
     """`scan_alpha` as CSV text: the header `alpha,p_R,p_L`, then one `%.17g` row per sample."""
-    lines = ["alpha,p_R,p_L"]
-    lines.extend(f"{a:.17g},{r:.17g},{l:.17g}" for a, r, l in scan_alpha(samples))
-    return "\n".join(lines) + "\n"
+    rows = _table_rows(["", ",", ",", "\n"], list(scan_alpha(samples).T), shortest=False)
+    return "".join(["alpha,p_R,p_L\n", *rows])
 
 
 def write_scan_csv(path, samples: int) -> None:

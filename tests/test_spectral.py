@@ -122,18 +122,17 @@ def test_momentum_phases_unimodular_and_conjugate_symmetric(size):
 def test_block_eigenvalues_unimodular(coin):
     for n in range(5):
         for m in range(5):
-            block = build_block(coin, n, m, 5)
-            assert np.abs(np.abs(block.eigenvalues) - 1.0).max() < 1e-12
+            values, _ = build_block(coin, n, m, 5)
+            assert np.abs(np.abs(values) - 1.0).max() < 1e-12
 
 
 def test_block_eigen_residuals():
     coin = a2_coin()
     for n in range(5):
         for m in range(5):
-            block = build_block(coin, n, m, 5)
+            values, vectors = build_block(coin, n, m, 5)
             residual = np.abs(
-                block.matrix @ block.eigenvectors
-                - block.eigenvectors * block.eigenvalues[None, :]
+                block_matrix(coin, n, m, 5) @ vectors - vectors * values[None, :]
             ).max()
             assert residual < 1e-10
 
@@ -260,13 +259,13 @@ def test_axis_block_special_vector():
 def test_projectors_match_numeric_in_degenerate_subspace():
     # individual eigenvectors are only fixed up to unitary mixing inside a
     # degenerate eigenvalue; the projector is the invariant object
-    block = build_block(grover_coin(), 0, 0, 5)
+    eigenvalues, eigenvectors = build_block(grover_coin(), 0, 0, 5)
     closed = grover_eigenvectors(0, 0, 5)
     values = grover_eigenvalues(0, 0, 5)
     for target in (-1.0, 1.0):
         closed_cols = closed[:, np.abs(values - target) < 1e-9]
         p_closed = closed_cols @ closed_cols.conj().T
-        numeric_cols = block.eigenvectors[:, np.abs(block.eigenvalues - target) < 1e-9]
+        numeric_cols = eigenvectors[:, np.abs(eigenvalues - target) < 1e-9]
         p_numeric = numeric_cols @ numeric_cols.conj().T
         assert np.abs(p_closed - p_numeric).max() < 1e-10
 
@@ -520,10 +519,10 @@ def reference_grover_classes(spec, size):
             for member in members:
                 if member not in blocks:
                     blocks[member] = build_block(grover_coin(), *member, size)
-                block = blocks[member]
-                match = np.abs(block.eigenvalues - value) <= DEGENERACY_TOL
+                eigenvalues, eigenvectors = blocks[member]
+                match = np.abs(eigenvalues - value) <= DEGENERACY_TOL
                 assert match.any()
-                vectors = block.eigenvectors[:, match]
+                vectors = eigenvectors[:, match]
                 total += vectors @ (vectors.conj().T @ spec.weights)
             rows.append((rep, k, members, len(members), complex(value), total))
     return rows
@@ -799,8 +798,10 @@ def test_exact_routes_hold_one_chunk_of_kernel_temporaries():
     # (with the whole stack's temporaries alive they were about 1370 and 1850 N^2 bytes)
     coin, size = haar_coin(), 101
     for call, bound in (
-        (lambda: SpectralDecomposition.build(coin, size), 1000),
+        (lambda: SpectralDecomposition.build(coin, size), 650),
         (lambda: exact_time_average(coin, InitialSpec.pure("R"), size, "odd"), 1300),
+        # no per-cluster object: the arrays alone (about 2980 N^2 bytes with one per cluster)
+        (lambda: origin_coefficients(coin, InitialSpec.pure("R"), size), 1300),
     ):
         call()
         tracemalloc.start()
@@ -1187,3 +1188,33 @@ def test_parity_average_matches_pairwise_pairing(coin, parity, sign):
         expected += np.abs(total) ** 2
     report = exact_time_average(coin, spec, 9, parity=parity)
     assert np.abs(np.array(report.per_chirality) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("size", [9, 21])
+@pytest.mark.parametrize(
+    "coin", [grover_coin(), a1_coin(), haar_coin()], ids=["grover", "a1", "haar"]
+)
+def test_cluster_objects_equal_a_per_value_reference(coin, size):
+    # the objects `clusters`, `merged` and `classes` build on access, against the
+    # per-cluster tables summed one eigenvalue at a time from the same eigensystems
+    spec = InitialSpec(0.5, 0.5j, -0.5, 0.5)
+    values, terms = spectral._origin_terms(coin, spec.weights, size)
+    centres, labels = cluster_labels(values)
+    counts = [0] * len(centres)
+    sums = np.zeros((len(centres), 4), dtype=complex)
+    for label, term in zip(labels.tolist(), terms):
+        counts[label] += 1
+        sums[label] += term
+    clusters = SpectralDecomposition.build(coin, size).clusters
+    assert [(c.value, c.multiplicity) for c in clusters] == list(zip(centres.tolist(), counts))
+    expansion = origin_coefficients(coin, spec, size)
+    assert [value for value, _ in expansion.merged] == centres.tolist()
+    for (_, amp), total in zip(expansion.merged, sums):
+        assert np.array_equal(amp, total / size ** 2)
+    if coin.label == "grover":
+        return
+    assert len(expansion.classes) == len(centres)
+    for cls, value, total, count in zip(expansion.classes, centres.tolist(), sums, counts):
+        assert cls.eigenvalue == value and np.array_equal(cls.weights, total)
+        assert cls.multiplicity == count
+        assert (cls.representative, cls.k, cls.members) == (None, None, ())

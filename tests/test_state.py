@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
     InitialSpec,
+    SpectralDecomposition,
     WalkState,
     a1_coin,
     coords,
@@ -247,7 +248,7 @@ def test_grid_json_escapes_labels_like_json(tmp_path):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([3, 5, 7]),
+    st.sampled_from([3, 5, 7, 17]),  # 17^2 sites reach KERNEL_MIN_VALUES
     st.integers(0, 2**32 - 1),
     st.integers(-160, 0),
     st.integers(0, 150),
@@ -302,10 +303,20 @@ def template_grid_csv(state, path):
     pathlib.Path(path).write_text("x,y,p\n" + rows)
 
 
+def json_parts(payload, key, row, count, values):
+    """
+    The text of `json.dumps(payload, indent=2, sort_keys=True) + "\n"` in
+    three parts, with the `count` > 0 items of payload[key] each written by
+    the `%` template `row` from its share of the flat tuple `values`.
+    """
+    head, tail = state_module._json_frame(payload, key)
+    return head, ",\n".join([row] * count) % values, tail
+
+
 def template_grid_json(state, path, *, coin="", initial=""):
     payload = {"coin": coin, "N": state.n, "t": state.t, "initial": initial,
                "columns": ["x", "y", "p"]}
-    pathlib.Path(path).write_text("".join(state_module._json_parts(
+    pathlib.Path(path).write_text("".join(json_parts(
         payload, "rows", "    [\n      %d,\n      %d,\n      %r\n    ]", state.n ** 2,
         template_values(state))))
 
@@ -378,7 +389,7 @@ def test_kernel_matches_python_on_edge_values():
 def test_kernel_matches_python_on_a_million_values():
     rng = np.random.default_rng(19)
     assert_kernel_matches_python(np.concatenate([
-        rng.integers(0, 2**63, 300000, dtype=np.uint64).view(np.float64),  # any sign-free bits
+        rng.integers(0, 2**64, 300000, dtype=np.uint64).view(np.float64),  # any bits
         rng.random(300000),
         10.0 ** rng.uniform(-40.0, 0.0, 300000),
         np.abs(rng.normal(size=100000) + 1j * rng.normal(size=100000)) ** 2 / 4e4,
@@ -386,10 +397,10 @@ def test_kernel_matches_python_on_a_million_values():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=40))
-def test_kernel_matches_python_on_nonnegative_floats(values):
-    assert_kernel_matches_python(values)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_kernel_matches_python_on_finite_floats(values):
+    # repeated up to KERNEL_MIN_VALUES: fewer values go to Python, not to the kernel
+    assert_kernel_matches_python(np.resize(values, state_module.KERNEL_MIN_VALUES))
 
 
 def test_kernel_formats_nearly_every_walk_value_itself():
@@ -399,6 +410,19 @@ def test_kernel_formats_nearly_every_walk_value_itself():
     grid = evolve(pure_state(201, "R"), grover_coin(), 200).probability_grid().ravel()
     for shortest in (False, True):
         assert state_module._decimal_digits(grid, shortest)[2].mean() > 0.95
+
+
+def test_kernel_formats_signed_cluster_components_itself():
+    # about half of all eigenvalue components are negative; the sign column certifies them
+    scale = state_module._decimal_scale()
+    if scale is None:
+        pytest.skip("np.longdouble cannot certify any rounding here")
+    centres = SpectralDecomposition.build(random_unitary_coin(101), 41).centres
+    components = np.concatenate([centres.real, centres.imag])
+    assert (components < 0).mean() > 0.4
+    assert_kernel_matches_python(components)
+    for shortest in (False, True):
+        assert state_module._decimal_digits(components, shortest)[2].mean() > 0.95
 
 
 def test_decimal_scale_powers_are_correctly_rounded():

@@ -29,6 +29,7 @@ from qwalk2d import (
     origin_superposition,
     pure_state,
     scan_alpha,
+    scan_csv,
     symmetric_family,
     write_report_json,
     write_scan_csv,
@@ -316,6 +317,14 @@ def test_scan_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "alpha,p_R,p_L"
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize("samples", [2, 3, 201, 2001, 20001])
+def test_scan_csv_matches_f_string_rows(samples):
+    # the per-row f-strings scan_csv used before it wrote through the number kernel
+    lines = ["alpha,p_R,p_L"]
+    lines.extend(f"{a:.17g},{r:.17g},{l:.17g}" for a, r, l in scan_alpha(samples))
+    assert scan_csv(samples) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
