@@ -92,6 +92,14 @@ def jobs(haar: str, custom: str, grover_file: str):
     yield ("simulate/direct/haar/custom/N201/t200/csv",
            ["simulate", "--coin", haar, "--n", "201", "--steps", "200",
             "--initial", custom, "--format", "csv"], "csv")
+    # direct evolution in one band above FLAT_PRODUCT_MAX_N (N = 103), and in one or two
+    # bands by the CPUs (N = 129): a band count never moves a digest
+    for n in (103, 129):
+        for coin, selector, init_name, initial in (("grover", "grover", "R", "R"),
+                                                   ("haar", haar, "custom", custom)):
+            yield (f"simulate/direct/{coin}/{init_name}/N{n}/t{n}/csv",
+                   ["simulate", "--coin", selector, "--n", str(n), "--steps", str(n),
+                    "--initial", initial, "--backend", "direct", "--format", "csv"], "csv")
     yield ("timeavg-empirical/grover/R/T20000/N21",
            ["timeavg", "--method", "empirical", "--coin", "grover", "--n", "21",
             "--initial", "R", "--samples", "20000"], "json")

@@ -40,6 +40,7 @@ import argparse
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -93,6 +94,9 @@ PAIRS = 15
 PAIRED_SIZES = (101, 201)
 #: Samples of the paired `scan-alpha` row.
 SCAN_SAMPLES = 2001
+#: Sizes of the paired direct-evolution rows: one band on any host, and two bands on two
+#: CPUs (one band in `trajectory`).
+DIRECT_SIZES = (103, 201)
 
 
 def trajectory_paths(lattice):
@@ -124,23 +128,34 @@ def trajectory_paths(lattice):
     ]
 
 
+def product_operands(n, coin, flat):
+    """
+    The operands of one step's coin product as `evolve`'s stepper builds
+    them: float64 views of (N, N, 4) buffers times kron(C^T, I2) for a real
+    coin, the complex buffers times C^T otherwise; stacked over the lattice
+    rows, or reshaped to one flat product.
+    """
+    source, target = qw.pure_state(n, "R").amplitudes, np.empty((n, n, 4), complex)
+    gate = coin.entries.T
+    if coin.is_real:
+        source, target = source.view(np.float64), target.view(np.float64)
+        gate = np.kron(gate.real, np.eye(2))
+    if flat:
+        source, target = source.reshape(n * n, -1), target.reshape(n * n, -1)
+    return source, gate, target
+
+
 def product_paths():
     """
     One step's coin product `np.matmul(source, gate, out=target)` on the
-    buffers of `evolve`'s stepper, PRODUCTS times per call: stacked over the
-    lattice rows, as `evolve`'s bands multiply, and as one flat product.
+    operands of `product_operands`, PRODUCTS times per call: stacked over
+    the lattice rows, as `evolve`'s bands multiply, and as one flat product.
     """
     haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
     paths = []
     for coin in (qw.grover_coin(), haar):
         for flat in (False, True):
-            @functools.cache
-            def operands(n, coin=coin, flat=flat):
-                stepper = qw._evolve._stepper(qw.pure_state(n, "R"), coin)
-                source, gate, target = stepper.source, stepper.gate, stepper.target
-                if flat:
-                    source, target = source.reshape(n * n, -1), target.reshape(n * n, -1)
-                return source, gate, target
+            operands = functools.cache(functools.partial(product_operands, coin=coin, flat=flat))
 
             def products(n, operands=operands):
                 source, gate, target = operands(n)
@@ -241,12 +256,32 @@ def peak_paths():
     return paths
 
 
+def direct_paths():
+    """
+    Direct evolution to t = N from R for each of `exact_coins`, the Haar
+    coin's one-band `trajectory` to t = N, both at DIRECT_SIZES, and the
+    empirical grover average at N = 21 over HORIZON steps.
+    """
+    coins, pure_r = exact_coins(), qw.InitialSpec.pure("R")
+    paths = [(f"evolve({name}, t=N)", DIRECT_SIZES,
+              lambda n, coin=coin: qw.evolve(qw.pure_state(n, "R"), coin, n))
+             for name, coin in coins.items()]
+    return paths + [
+        ("one-band trajectory(haar, t=N)", DIRECT_SIZES,
+         lambda n: next(itertools.islice(
+             qw._evolve.trajectory(qw.pure_state(n, "R"), coins["haar"]), n, None))),
+        (f"empirical_time_average(grover, R, T={HORIZON})", (21,),
+         lambda n: qw.empirical_time_average(qw.origin_superposition(n, pure_r),
+                                             coins["grover"], HORIZON)),
+    ]
+
+
 def paired_paths(tmp: pathlib.Path):
     """
     The rows of a paired run: `SpectralDecomposition.build`, its `to_json`,
     `origin_coefficients` and the `spectrum` and `predict` commands for each
-    of `exact_coins` at PAIRED_SIZES, the four grid writers at N = 201, and
-    `scan-alpha` through `qwalk2d.cli.main`.
+    of `exact_coins` at PAIRED_SIZES, the four grid writers at N = 201,
+    `scan-alpha` through `qwalk2d.cli.main`, and `direct_paths`.
     """
     pure_r = qw.InitialSpec.pure("R")
     coins = exact_coins()
@@ -271,7 +306,7 @@ def paired_paths(tmp: pathlib.Path):
             if cli.main(["scan-alpha", "--samples", str(samples)]) != 0:
                 raise RuntimeError("scan-alpha exited non-zero")
 
-    return paths + [("scan-alpha", (SCAN_SAMPLES,), scan)]
+    return paths + [("scan-alpha", (SCAN_SAMPLES,), scan)] + direct_paths()
 
 
 def paired_peaks():

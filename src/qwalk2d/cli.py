@@ -129,9 +129,9 @@ def parse_initial(text: str) -> InitialSpec:
 #: Default time horizon of `timeavg --method empirical`.
 EMPIRICAL_SAMPLES = 20000
 #: Largest `--n`.  A state takes 64 N^2 bytes, the exact commands' eigenvectors 256 N^2.  By
-#: tracemalloc at N = 101 and 201, a coin with no symmetry peaks near 1150 N^2 bytes in `spectrum`
-#: to stdout (it holds the whole text), 1060 N^2 in `timeavg --method exact --parity odd` and at
-#: most 620 N^2 in `spectrum --out` and `predict`: 1.2 GB at N = 1001.
+#: tracemalloc at N = 101 and 201, a coin with no symmetry peaks near 1060 N^2 bytes in `timeavg
+#: --method exact --parity odd` (1.1 GB at N = 1001) and at most 530 N^2 in `spectrum`, which
+#: streams its text to stdout or `--out`, and `predict`.
 MAX_N = 1001
 
 
@@ -216,11 +216,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     coin = parse_coin(args.coin)
-    decomposition = SpectralDecomposition.build(coin, args.n)
-    if args.out:
-        decomposition.write_json(args.out)
-    else:
-        print(decomposition.to_json(), end="")
+    SpectralDecomposition.build(coin, args.n).write_json(args.out or sys.stdout)
     return 0
 
 

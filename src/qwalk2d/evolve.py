@@ -21,9 +21,11 @@ a barrier for the others, gathers its own rows and waits again; the
 result is bit-identical to one thread's.  On 2 CPUs two bands break
 even near N = 120 and take 0.6 times the serial time at N = 201 and 301,
 while at N = 31 a second band is 25 times slower: hence the floor.
-There is no setting; smaller lattices, and `trajectory`, run serially.
-On a lattice of at most FLAT_PRODUCT_MAX_N rows `trajectory` multiplies
-the whole lattice by the coin in one product instead, with the same bits.
+There is no setting; one band, as on smaller lattices and in
+`trajectory`, runs on the calling thread with no barrier.  One band
+multiplies the whole lattice by the coin in one product, with the same
+bits, when the coin is complex or the lattice has at most
+FLAT_PRODUCT_MAX_N rows; otherwise the rows are multiplied one by one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 import os
 import threading
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,30 +46,22 @@ __all__ = ["evolve", "step"]
 SHIFTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 #: Fewest lattice rows per band of `evolve` (see the module docstring).
 MIN_BAND_ROWS = 64
-#: Largest N at which `trajectory` multiplies the whole lattice by the coin in one
-#: product; larger lattices, and the bands of `evolve`, multiply row by row.
+#: Largest N at which one band multiplies a real coin over the whole lattice in one
+#: product; larger lattices, and every band of several, multiply row by row.
 FLAT_PRODUCT_MAX_N = 101
 
 
-class _Stepper(NamedTuple):
+def _stepper(state: WalkState, coin: Coin):
     """
-    The buffers and gather index of one evolution.  One step is
-    `np.matmul(source, gate, out=target)` and then
-    `mixed_flat.take(index, out=flat, mode="wrap")`; both act lattice row
-    by lattice row, so a band of rows can take its share of each alone.
+    The band factory of `coin` starting from a copy of the state's
+    amplitudes: `band(lo, hi, barrier=None)` is a generator that yields the
+    (N, N, 4) amplitudes buffer, then advances lattice rows lo..hi-1 by one
+    step per `next` and yields it again.  A step is the coin on the band's
+    rows, a barrier wait (the shift reads the neighbouring bands' mixed
+    rows), the shift into the band's rows and a second wait (the next coin
+    overwrites mixed rows that a neighbour's shift may still read); a band
+    with no barrier is the whole lattice and waits for nothing.
     """
-
-    amplitudes: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
-    gate: np.ndarray
-    flat: np.ndarray
-    mixed_flat: np.ndarray
-    index: np.ndarray
-
-
-def _stepper(state: WalkState, coin: Coin) -> _Stepper:
-    """The stepper of `coin` starting from a copy of the state's amplitudes."""
     amplitudes = state.amplitudes.copy()
     mixed = np.empty_like(amplitudes)
     n, (dx, dy) = state.n, np.array(SHIFTS).T
@@ -83,8 +76,28 @@ def _stepper(state: WalkState, coin: Coin) -> _Stepper:
         # product at half its arithmetic; a complex coin's real form moves last bits (1 ulp)
         source, target = amplitudes.view(np.float64), mixed.view(np.float64)
         gate = np.kron(gate.real, np.eye(2))
-    return _Stepper(amplitudes, source, target, gate, amplitudes.reshape(-1),
-                    mixed.reshape(-1), index.reshape(-1))
+    flat, mixed_flat, index = amplitudes.reshape(-1), mixed.reshape(-1), index.reshape(-1)
+
+    def band(lo: int, hi: int, barrier=None):
+        rows, into = source[lo:hi], target[lo:hi]
+        if barrier is None and (n <= FLAT_PRODUCT_MAX_N or not coin.is_real):
+            # one (N^2, 8) @ (8, 8) product (complex (N^2, 4) @ (4, 4)) costs one BLAS call
+            # where N stacked row products cost N; above the bound the real flat product goes
+            # multithreaded and loses to the rows, and inside bands both flat products lose
+            # (bench/trajectory.py, coin product rows)
+            rows, into = rows.reshape(-1, gate.shape[0]), into.reshape(-1, gate.shape[0])
+        gather, out = index[lo * 4 * n:hi * 4 * n], flat[lo * 4 * n:hi * 4 * n]
+        while True:
+            yield amplitudes
+            np.matmul(rows, gate, out=into)
+            if barrier is not None:
+                barrier.wait()
+            # every index is in range; "wrap" only spares take() the output copy "raise" makes
+            mixed_flat.take(gather, out=out, mode="wrap")
+            if barrier is not None:
+                barrier.wait()
+
+    return band
 
 
 def trajectory(state: WalkState, coin: Coin):
@@ -93,17 +106,7 @@ def trajectory(state: WalkState, coin: Coin):
     (N, N, 4) buffer, advanced one step in place between yields.  The
     input state is copied, never mutated.
     """
-    amplitudes, source, target, gate, flat, mixed_flat, index = _stepper(state, coin)
-    if state.n <= FLAT_PRODUCT_MAX_N:
-        # one (N^2, 8) @ (8, 8) product (complex (N^2, 4) @ (4, 4)) costs one BLAS call
-        # where N stacked row products cost N; above the bound the flat product goes
-        # multithreaded and loses to the rows (bench/trajectory.py, coin product rows)
-        source, target = source.reshape(-1, gate.shape[0]), target.reshape(-1, gate.shape[0])
-    while True:
-        yield amplitudes
-        np.matmul(source, gate, out=target)
-        # every index is in range; "wrap" only spares take() the output copy "raise" makes
-        mixed_flat.take(index, out=flat, mode="wrap")
+    return _stepper(state, coin)(0, state.n)
 
 
 def _cpu_count() -> int:
@@ -114,42 +117,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _band_steps(stepper: _Stepper, lo: int, hi: int, steps: int, barrier) -> None:
+def _advance(band, rows: int, steps: int, parts: int) -> np.ndarray:
     """
-    Advance lattice rows lo..hi-1 by `steps` steps in lockstep with the
-    other bands: the coin on the band's rows, a barrier (the shift reads
-    the neighbouring bands' mixed rows), the shift into the band's rows,
-    and a barrier (the next coin overwrites mixed rows that a neighbour's
-    shift may still read).
+    Return the amplitudes of the band factory `band` (from `_stepper`, over
+    `rows` lattice rows) advanced by `steps` steps, with the rows split into
+    `parts` (at least 1, capped at `rows`) contiguous bands.  One band runs on
+    the calling thread alone; more take one thread each, the calling thread
+    working the first, in lockstep through one barrier.  A band that raises
+    aborts the barrier, which stops the others at their next wait, and its
+    error is raised here once every thread has been joined.
     """
-    width = stepper.flat.size // stepper.source.shape[0]
-    source, target = stepper.source[lo:hi], stepper.target[lo:hi]
-    flat, index = stepper.flat[lo * width:hi * width], stepper.index[lo * width:hi * width]
-    gate, mixed_flat = stepper.gate, stepper.mixed_flat
-    for _ in range(steps):
-        np.matmul(source, gate, out=target)
-        barrier.wait()
-        mixed_flat.take(index, out=flat, mode="wrap")
-        barrier.wait()
-
-
-def _advance(stepper: _Stepper, steps: int, parts: int) -> np.ndarray:
-    """
-    Return the stepper's amplitudes advanced by `steps` steps, with the
-    lattice rows split into `parts` (at most N) contiguous bands, one
-    thread each; the calling thread works the first band.  A band that
-    raises aborts the barrier, which stops the others at their next wait,
-    and its error is raised here once every thread has been joined.
-    """
-    n = stepper.source.shape[0]
-    parts = min(parts, n)
-    bounds = [n * k // parts for k in range(parts + 1)]
+    parts = min(parts, rows)
+    if parts == 1:
+        return next(islice(band(0, rows), steps, None))
+    bounds = [rows * k // parts for k in range(parts + 1)]
     barrier = threading.Barrier(parts)
     errors = []
 
-    def band(lo, hi):
+    def work(lo, hi):
         try:
-            _band_steps(stepper, lo, hi, steps, barrier)
+            return next(islice(band(lo, hi, barrier), steps, None))
         except BaseException as error:
             errors.append(error)
             barrier.abort()
@@ -157,10 +144,10 @@ def _advance(stepper: _Stepper, steps: int, parts: int) -> np.ndarray:
     started = []
     try:
         for k in range(1, parts):
-            thread = threading.Thread(target=band, args=bounds[k:k + 2], daemon=True)
+            thread = threading.Thread(target=work, args=bounds[k:k + 2], daemon=True)
             thread.start()
             started.append(thread)
-        band(*bounds[:2])
+        amplitudes = work(*bounds[:2])
     except BaseException:  # a thread failed to start: release those waiting for it
         barrier.abort()
         raise
@@ -171,7 +158,7 @@ def _advance(stepper: _Stepper, steps: int, parts: int) -> np.ndarray:
         # the first band to fail broke the barrier for the others
         raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
                    errors[0])
-    return stepper.amplitudes
+    return amplitudes
 
 
 def check_norm(
@@ -213,14 +200,14 @@ def step(state: WalkState, coin: Coin) -> WalkState:
     return evolve(state, coin, 1)
 
 
-def evolve(state: WalkState, coin: Coin, steps: int, *, _parts: int | None = None) -> WalkState:
+def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
     """
     Advance the walk by `steps` steps; steps = 0 returns the input.
 
-    The lattice rows are split into min(CPUs, N // MIN_BAND_ROWS) bands,
-    one thread each (see the module docstring); one band runs the serial
-    loop of `trajectory`.  `_parts` sets the band count in tests.  No
-    thread outlives the call, whether it returns or raises.
+    The lattice rows are split into max(1, min(CPUs, N // MIN_BAND_ROWS))
+    bands; the calling thread works the first, and each other band gets a
+    thread (see the module docstring).  No thread outlives the call,
+    whether it returns or raises.
 
     Raises ConsistencyError when the final norm drifts from the input's
     by more than `check_norm` allows.
@@ -231,12 +218,9 @@ def evolve(state: WalkState, coin: Coin, steps: int, *, _parts: int | None = Non
     if steps == 0:
         return state
     start_norm_sq = state.norm_sq()
-    parts = min(_cpu_count(), state.n // MIN_BAND_ROWS) if _parts is None else _parts
-    if parts > 1:
-        # keeps only the amplitudes, as the serial loop does, so the gather index and
-        # the mixing buffer are freed before check_norm's temporaries
-        amplitudes = _advance(_stepper(state, coin), steps, parts)
-    else:
-        amplitudes = next(islice(trajectory(state, coin), steps, None))
+    parts = max(1, min(_cpu_count(), state.n // MIN_BAND_ROWS))
+    # keeps only the amplitudes, so the gather index and the mixing buffer are freed
+    # before check_norm's temporaries
+    amplitudes = _advance(_stepper(state, coin), state.n, steps, parts)
     check_norm(amplitudes, start_norm_sq, coin, steps)
     return WalkState(amplitudes, state.t + steps, validate=False)

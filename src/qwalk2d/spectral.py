@@ -528,7 +528,8 @@ class SpectralDecomposition:
         return "".join(self._json_text())
 
     def write_json(self, path) -> None:
-        """Write `to_json`'s text a chunk of rows at a time, never joining it."""
+        """Write `to_json`'s text to `path`, a file name or an open text stream, a chunk of
+        rows at a time, never joining it."""
         _write_parts(path, self._json_text())
 
     def _json_text(self):

@@ -486,10 +486,12 @@ def _table_rows(parts: list, columns: list, shortest: bool, join: str = ""):
 
 
 def _write_parts(path, parts) -> None:
-    """Write the strings `parts` to `path` in turn, never joining them."""
+    """Write the strings `parts` to `path`, a file name or an open text stream, unjoined."""
+    if hasattr(path, "write"):
+        path.writelines(parts)
+        return
     with open(path, "w") as out:
-        for part in parts:
-            out.write(part)
+        out.writelines(parts)
 
 
 def _grid_columns(grid: np.ndarray) -> list:

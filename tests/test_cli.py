@@ -1,4 +1,6 @@
+import contextlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +153,27 @@ def test_spectrum_a1_no_global_cluster(capsys):
     assert cli.main(["spectrum", "--coin", "a1", "--n", "5"]) == 0
     clusters = json.loads(capsys.readouterr().out)["clusters"]
     assert max(c["multiplicity"] for c in clusters) < 25
+
+
+def test_spectrum_to_stdout_streams_its_text(tmp_path):
+    # a coin with no symmetry has 4 N^2 clusters; holding the whole text peaked near
+    # 1150 N^2 bytes, streaming it a chunk of rows at a time as --out does near 530
+    rng, size = np.random.default_rng(11), 101
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps([[[v.real, v.imag] for v in row] for row in q.tolist()]))
+    argv = ["spectrum", "--coin", f"file:{path}", "--n", str(size)]
+    assert cli.main([*argv, "--out", str(tmp_path / "spectrum.json")]) == 0
+    with open(tmp_path / "stdout.json", "w") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 800 * size ** 2
+    assert (tmp_path / "stdout.json").read_bytes() == (tmp_path / "spectrum.json").read_bytes()
 
 
 def test_spectrum_a4_counts(tmp_path):

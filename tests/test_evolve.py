@@ -1,6 +1,7 @@
 import importlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,7 +76,8 @@ def test_kernel_coins_cover_both_coin_products():
     assert [coin.is_real for coin in KERNEL_COINS] == [False, True, True, True, True, True, False]
 
 
-# the last two sit on either side of the largest lattice `trajectory` multiplies in one product
+# the last two sit on either side of the largest lattice one band multiplies a real coin over
+# in one product; complex coins take the flat product on both
 PRODUCT_SIDES = [evolve_module.FLAT_PRODUCT_MAX_N, evolve_module.FLAT_PRODUCT_MAX_N + 2]
 
 
@@ -97,6 +99,12 @@ def test_evolve_equals_roll_reference_bit_for_bit(coin, n):
     assert np.array_equal(one.amplitudes, evolve(initial, coin, 1).amplitudes)
 
 
+def banded(state, coin, steps, parts):
+    """`evolve`'s stepping with the lattice rows split into `parts` bands, and no norm check."""
+    amplitudes = evolve_module._advance(evolve_module._stepper(state, coin), state.n, steps, parts)
+    return WalkState(amplitudes, state.t + steps, validate=False)
+
+
 # N = 3 gives one-row bands, and parts = 5 asks for more bands than N = 3 has rows
 @pytest.mark.parametrize("coin", KERNEL_COINS, ids=lambda c: c.label)
 @pytest.mark.parametrize("n", [3, 7, 21])
@@ -107,27 +115,57 @@ def test_banded_evolve_equals_roll_reference_bit_for_bit(coin, n, parts):
     for t in range(1, 7):
         expected = reference_step(expected, coin)
         if t in (1, 6):
-            got = evolve(initial, coin, t, _parts=parts)
+            got = banded(initial, coin, t, parts)
             assert got.t == initial.t + t
             assert np.array_equal(got.amplitudes, expected)
 
 
 def test_band_count_follows_cpus_and_row_floor(monkeypatch):
     seen = []
+    # the first yield is the initial state: the stepper never ran, so the norm holds
     monkeypatch.setattr(evolve_module, "_advance",
-                        lambda stepper, steps, parts: seen.append(parts) or stepper.amplitudes)
+                        lambda band, rows, steps, parts: seen.append(parts) or next(band(0, rows)))
     monkeypatch.setattr(evolve_module, "_cpu_count", lambda: 4)
     for n in (127, 129, 193, 301):
-        # the stepper never ran, so the state is the initial one and the norm holds
         evolve(pure_state(n, "R"), grover_coin(), 1)
-    assert seen == [2, 3, 4]  # N = 127 has one band and takes the serial loop
+    assert seen == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("n, parts", [(21, 3), (201, None)])
 def test_evolve_leaves_no_thread_behind(n, parts):
     before = threading.active_count()
-    evolve(pure_state(n, "R"), grover_coin(), 5, _parts=parts)
+    if parts is None:
+        evolve(pure_state(n, "R"), grover_coin(), 5)
+    else:
+        banded(pure_state(n, "R"), grover_coin(), 5, parts)
     assert threading.active_count() == before
+
+
+def test_one_band_evolve_starts_no_thread_and_no_barrier(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-band evolve made a thread or a barrier")
+
+    monkeypatch.setattr(evolve_module, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(threading, "Thread", refused)
+    monkeypatch.setattr(threading, "Barrier", refused)
+    initial = random_state(21, seed=2)
+    got = evolve(initial, grover_coin(), 5)
+    assert np.array_equal(got.amplitudes, banded(initial, grover_coin(), 5, 1).amplitudes)
+
+
+def test_evolve_frees_its_index_and_mixing_buffer_before_the_norm_check():
+    # the state copy (64 N^2 bytes), the mixing buffer (64) and the gather index (32)
+    # are alive while stepping, about 164 N^2 in all; check_norm's |a|^2 (32) must come
+    # after the index and the mixing buffer are freed, or the peak reaches about 193 N^2
+    n, initial = 201, pure_state(201, "R")
+    evolve(initial, grover_coin(), 3)
+    tracemalloc.start()
+    try:
+        evolve(initial, grover_coin(), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180 * n ** 2
 
 
 class PlantedError(RuntimeError):
@@ -156,13 +194,13 @@ def test_many_bands_under_fast_thread_switching_stay_bit_identical():
     # more bands than cores, switching threads every microsecond: a missing or
     # misplaced barrier lets a band read rows its neighbour has not finished
     coin, initial = random_unitary_coin(3), random_state(21, seed=4)
-    want = evolve(initial, coin, 40, _parts=1).amplitudes
+    want = banded(initial, coin, 40, 1).amplitudes
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = []
         finished, error = run_bounded(
-            lambda: got.extend(evolve(initial, coin, 40, _parts=7).amplitudes for _ in range(5)))
+            lambda: got.extend(banded(initial, coin, 40, 7).amplitudes for _ in range(5)))
     finally:
         sys.setswitchinterval(interval)
     assert finished and error is None
@@ -171,7 +209,7 @@ def test_many_bands_under_fast_thread_switching_stay_bit_identical():
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
 def test_failing_band_raises_in_caller_and_joins_every_thread(monkeypatch, failing):
-    bands = evolve_module._band_steps
+    stepper = evolve_module._stepper
 
     class FailingBarrier:
         """Raises in band `failing` at its fifth wait, mid-run."""
@@ -185,12 +223,13 @@ def test_failing_band_raises_in_caller_and_joins_every_thread(monkeypatch, faili
                 raise PlantedError(f"band {failing}")
             return self.barrier.wait()
 
-    def planted(stepper, lo, hi, steps, barrier):
-        bands(stepper, lo, hi, steps, FailingBarrier(barrier, lo // 7))
+    def planted(state, coin):
+        band = stepper(state, coin)
+        return lambda lo, hi, barrier: band(lo, hi, FailingBarrier(barrier, lo // 7))
 
-    monkeypatch.setattr(evolve_module, "_band_steps", planted)
+    monkeypatch.setattr(evolve_module, "_stepper", planted)
     before = threading.active_count()
-    finished, error = run_bounded(lambda: evolve(pure_state(21, "R"), grover_coin(), 50, _parts=3))
+    finished, error = run_bounded(lambda: banded(pure_state(21, "R"), grover_coin(), 50, 3))
     assert finished, "evolve did not return after a band raised"
     assert isinstance(error, PlantedError) and str(error) == f"band {failing}"
     assert threading.active_count() == before
