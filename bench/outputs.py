@@ -82,6 +82,14 @@ def jobs(haar: str, custom: str, grover_file: str):
             yield (f"timeavg-empirical/{coin}/{init_name}/T64/N9",
                    ["timeavg", "--method", "empirical", "--coin", selector, "--n", "9",
                     "--initial", initial, "--samples", "64"], "json")
+    # the exact routes on the Haar coin at N = 101, where its spectrum holds a pair of
+    # eigenvalues from different blocks 8.1e-10 apart, inside the clustering tolerance
+    for parity in PARITIES:
+        yield (f"timeavg-exact/haar/R/{parity}/N101",
+               ["timeavg", "--method", "exact", "--coin", haar, "--n", "101",
+                "--initial", "R", "--parity", parity], "json")
+    yield "spectrum/haar/N101", ["spectrum", "--coin", haar, "--n", "101"], "json"
+    yield "predict/haar/N101", ["predict", "--coin", haar, "--n", "101"], None
     # the lattice-evolution benchmark's direct-evolution jobs
     for coin, init_name, initial in (("a1", "custom", custom), ("grover", "R", "R")):
         for fmt in ("csv", "json"):

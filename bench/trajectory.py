@@ -279,8 +279,8 @@ def direct_paths():
 def paired_paths(tmp: pathlib.Path):
     """
     The rows of a paired run: `SpectralDecomposition.build`, its `to_json`,
-    `origin_coefficients` and the `spectrum` and `predict` commands for each
-    of `exact_coins` at PAIRED_SIZES, the four grid writers at N = 201,
+    `origin_coefficients` and the three commands of `command_paths` for
+    each of `exact_coins` at PAIRED_SIZES, the four grid writers at N = 201,
     `scan-alpha` through `qwalk2d.cli.main`, and `direct_paths`.
     """
     pure_r = qw.InitialSpec.pure("R")
@@ -296,8 +296,7 @@ def paired_paths(tmp: pathlib.Path):
             (f"origin_coefficients({name}, R)", PAIRED_SIZES,
              lambda n, coin=coin: qw.origin_coefficients(coin, pure_r, n)),
         ]
-    paths += [(name, PAIRED_SIZES, fn) for name, _, fn in command_paths(tmp)
-              if name.startswith(("spectrum", "predict"))]
+    paths += [(name, PAIRED_SIZES, fn) for name, _, fn in command_paths(tmp)]
     paths += [(name, (201,), fn) for name, _, fn in writer_paths(tmp)
               if name.startswith("write_grid")]
 
@@ -309,10 +308,14 @@ def paired_paths(tmp: pathlib.Path):
     return paths + [("scan-alpha", (SCAN_SAMPLES,), scan)] + direct_paths()
 
 
-def paired_peaks():
-    """The exact routes whose peaks a paired run records, at N = 101."""
-    return [(name, (101,), fn) for name, fn in peak_paths()
-            if not name.startswith("exact_time_average")]
+def paired_peaks(tmp: pathlib.Path):
+    """
+    The exact routes and the commands of `command_paths` whose peaks a
+    paired run records, at PAIRED_SIZES.
+    """
+    return ([(name, PAIRED_SIZES, fn) for name, fn in peak_paths()
+             if not name.startswith("exact_time_average")]
+            + [(name, PAIRED_SIZES, fn) for name, _, fn in command_paths(tmp)])
 
 
 def serve() -> int:
@@ -322,7 +325,8 @@ def serve() -> int:
     tracemalloc peak in bytes per N^2 ("peak").
     """
     with tempfile.TemporaryDirectory(dir=HERE.parent) as tmp:
-        paths = {name: fn for name, _, fn in paired_paths(pathlib.Path(tmp)) + paired_peaks()}
+        tmp = pathlib.Path(tmp)
+        paths = {name: fn for name, _, fn in paired_paths(tmp) + paired_peaks(tmp)}
         print(json.dumps("ready"), flush=True)
         for line in sys.stdin:
             kind, name, n = json.loads(line)
@@ -354,6 +358,7 @@ def paired(against: pathlib.Path) -> dict:
                 raise RuntimeError("a worker did not start")
         with tempfile.TemporaryDirectory(dir=ROOT) as tmp:
             rows = [(name, sizes) for name, sizes, _ in paired_paths(pathlib.Path(tmp))]
+            peak_rows = [(name, sizes) for name, sizes, _ in paired_peaks(pathlib.Path(tmp))]
         table = []
         for name, sizes in rows:
             for n in sizes:
@@ -373,7 +378,7 @@ def paired(against: pathlib.Path) -> dict:
                 print(f"{name:48s} N={n:<5d} ratio {median:.3f} [{q1:.3f}, {q3:.3f}]  "
                       f"faster in {table[-1]['faster_pairs']} of {PAIRS}", flush=True)
         peaks = []
-        for name, sizes, _ in paired_peaks():
+        for name, sizes in peak_rows:
             for n in sizes:
                 mine, theirs = (ask(worker, "peak", name, n) for worker in workers)
                 peaks.append({"path": name, "N": n, "peak_bytes_per_n2": mine,

@@ -133,6 +133,15 @@ EMPIRICAL_SAMPLES = 20000
 #: --method exact --parity odd` (1.1 GB at N = 1001) and at most 530 N^2 in `spectrum`, which
 #: streams its text to stdout or `--out`, and `predict`.
 MAX_N = 1001
+#: Largest `scan-alpha --samples`: the scan and its CSV text peak near 248 bytes a sample, 1 GB.
+MAX_SCAN_SAMPLES = 4_000_000
+
+
+def _scan_samples(value: str) -> int:
+    samples = int(value)
+    if samples > MAX_SCAN_SAMPLES:
+        raise argparse.ArgumentTypeError(f"{samples} samples exceed the limit {MAX_SCAN_SAMPLES}")
+    return samples
 
 
 def _odd_size(value: str) -> int:
@@ -183,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     avg.add_argument("--out")
 
     scan = sub.add_parser("scan-alpha", help="limit curves over the two-component family")
-    scan.add_argument("--samples", type=int, default=201)
+    scan.add_argument("--samples", type=_scan_samples, default=201)
     scan.add_argument("--out")
 
     pred = sub.add_parser("predict", help="localization verdict for a coin")

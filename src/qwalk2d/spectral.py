@@ -45,6 +45,7 @@ through projectors, never individual vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -268,14 +269,15 @@ def _unitary_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("bij,bik,bkj->bj", vectors.conj(), h, vectors), vectors
 
 
-def _eigensystems(coin: Coin, index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _eigensystems(coin: Coin, index: np.ndarray, size: int):
     """
     Diagonalize the blocks with flat indices `index` (block (n, m) at
     n N + m) with `_unitary_eigh`, EIGH_CHUNK blocks at a time: the orbit
     representatives of `_grid_eigensystems` (every block for a coin with no
     symmetry), one block for `build_block`.
 
-    Returns the eigenvalues (B, 4), sorted within each block like the
+    Yields each chunk once checked, as (blocks, values, vectors): its flat
+    indices, the eigenvalues (B, 4), sorted within each block like the
     centres of `cluster_labels`, and the paired unit eigenvector columns
     (B, 4, 4).  Where an eigenvalue repeats within a block, its copies are
     replaced by their mean; its columns are already orthonormal, so every
@@ -288,11 +290,8 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int) -> tuple[np.ndarray,
         residual or ||V^H V - I|| of a block exceeds 1e-10; the message
         names the block, or the first and last of the chunk.
     """
-    values = np.empty((len(index), 4), dtype=np.complex128)
-    vectors = np.empty((len(index), 4, 4), dtype=np.complex128)
     for start in range(0, len(index), EIGH_CHUNK):
-        chunk = slice(start, start + EIGH_CHUNK)
-        blocks = index[chunk]
+        blocks = index[start : start + EIGH_CHUNK]
         h = block_matrix(coin, *np.divmod(blocks, size), size)
         try:
             found, columns = _unitary_eigh(h)
@@ -322,8 +321,7 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int) -> tuple[np.ndarray,
                     f"{what} {error[worst]:.3e} in block {divmod(int(blocks[worst]), size)} "
                     f"exceeds {RESIDUAL_TOL:.0e}"
                 )
-        values[chunk], vectors[chunk] = found, columns
-    return values, vectors
+        yield blocks, found, columns
 
 
 def _grid_eigensystems(coin: Coin, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -331,36 +329,33 @@ def _grid_eigensystems(coin: Coin, size: int) -> tuple[np.ndarray, np.ndarray]:
     `_eigensystems` of all N^2 blocks, as (N, N, 4) values and (N, N, 4, 4)
     vectors, diagonalizing one block per orbit of the coin's symmetry group.
 
-    Each block k is filled from the representative of its orbit under
-    `_coin_symmetries` (see `_orbits`) through the element (g, phi) that
-    takes k there: V(k) = diag(phi)^-1 P_g^T V(rep) with the values copied,
-    or, for a conjugating element, the same of conj(V(rep)) with the values
+    The orbit representatives of `_orbits` are solved straight into the
+    grid; every other block k is filled from its representative through
+    the element (g, phi) of `_coin_symmetries` that takes k there:
+    V(k) = diag(phi)^-1 P_g^T V(rep) with the values copied, or, for a
+    conjugating element, the same of conj(V(rep)) with the values
     conjugated and re-sorted.  Permuting rows and multiplying them by +-1,
-    +-i is exact, so the residual and unitarity checks of `_eigensystems`
-    on the representatives cover every block.  That is (N+1)(N+3)/8 blocks
-    for grover, ((N+1)/2)^2 for a1, a2 and a4:p and (N^2+1)/2 for a real
-    coin with no lattice symmetry; a complex coin with none is diagonalized
-    on the full grid, with no orbit table.
+    +-i is exact, so the checks of `_eigensystems` on the representatives
+    cover every block.  That is (N+1)(N+3)/8 blocks for grover, ((N+1)/2)^2
+    for a1, a2 and a4:p, (N^2+1)/2 for a real coin with no lattice symmetry
+    and N^2, every block, for a complex coin with none.
     """
     size = _check_size(size)
     elements = _coin_symmetries(coin)
-    if len(elements) == 1:
-        values, vectors = _eigensystems(coin, np.arange(size * size), size)
-        return values.reshape(size, size, 4), vectors.reshape(size, size, 4, 4)
     rep, via = _orbits(elements, size)
-    solved = np.flatnonzero(via == 0)
-    rep_values, rep_vectors = _eigensystems(coin, solved, size)
     values = np.empty((size * size, 4), dtype=np.complex128)
     vectors = np.empty((size * size, 4, 4), dtype=np.complex128)
-    for e, (g, phi, conjugates) in enumerate(elements):
+    for blocks, found, columns in _eigensystems(coin, np.flatnonzero(via == 0), size):
+        values[blocks], vectors[blocks] = found, columns
+    for e, (g, phi, conjugates) in enumerate(elements[1:], 1):
         blocks = np.flatnonzero(via == e)
-        source = np.searchsorted(solved, rep[blocks])
-        filled = rep_vectors[source[:, None], _MAP_INVERSES[g]]
+        source = rep[blocks]
+        filled = vectors[source[:, None], _MAP_INVERSES[g]]
         filled *= (phi if conjugates else phi.conj())[:, None]
         if conjugates:
-            values[blocks], vectors[blocks] = _sorted(rep_values[source].conj(), filled.conj())
+            values[blocks], vectors[blocks] = _sorted(values[source].conj(), filled.conj())
         else:
-            values[blocks], vectors[blocks] = rep_values[source], filled
+            values[blocks], vectors[blocks] = values[source], filled
     return values.reshape(size, size, 4), vectors.reshape(size, size, 4, 4)
 
 
@@ -379,7 +374,7 @@ def build_block(coin: Coin, n: int, m: int, size: int) -> tuple[np.ndarray, np.n
     """
     if not (0 <= n < size and 0 <= m < size):
         raise ValueError(f"momenta must lie in 0..{size - 1}, got ({n}, {m})")
-    values, vectors = _eigensystems(coin, np.array([n * size + m]), size)
+    _, values, vectors = next(_eigensystems(coin, np.array([n * size + m]), size))
     return values[0], vectors[0]
 
 
@@ -650,11 +645,12 @@ class OriginExpansion:
     in the convention of `ClassCoefficients` and `multiplicities` (K,) hold
     one row per distinct eigenvalue.  `c_plus` and `c_minus` aggregate the
     +1 and -1 contributions per chirality; `classes` itemizes every class
-    including those aggregated into `c_plus`/`c_minus`.  For the diffusion
-    coin the classes follow the momentum orbits (labeled by representative
-    and k): first the clusters of block (0, 0), then the axis, diagonal and
-    generic orbits, each group by representative and each orbit by
-    k = 1..4.  For other coins they are the rows above, built on access.
+    including those aggregated into `c_plus`/`c_minus`, built on first read
+    and cached.  For the diffusion coin the classes follow the momentum
+    orbits (labeled by representative and k), solved again from `coin`:
+    first the clusters of block (0, 0), then the axis, diagonal and generic
+    orbits, each group by representative and each orbit by k = 1..4.  For
+    other coins they are the rows above.
     """
 
     coin_label: str
@@ -665,12 +661,14 @@ class OriginExpansion:
     eigenvalues: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     multiplicities: np.ndarray = field(repr=False)
-    orbit_classes: tuple[ClassCoefficients, ...] | None = field(default=None, repr=False)
+    coin: Coin = field(repr=False)
 
-    @property
+    @functools.cached_property
     def classes(self) -> tuple[ClassCoefficients, ...]:
-        return self.orbit_classes or tuple(map(ClassCoefficients, self.eigenvalues.tolist(),
-                                               self.weights, self.multiplicities.tolist()))
+        if _is_grover(self.coin):
+            return _grover_classes(self.coin, self.initial, self.size)
+        return tuple(map(ClassCoefficients, self.eigenvalues.tolist(), self.weights,
+                         self.multiplicities.tolist()))
 
     @property
     def merged(self) -> tuple[tuple[complex, np.ndarray], ...]:
@@ -709,11 +707,9 @@ def _orbit_labels(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([keys // size % size, keys % size], axis=-1), labels.reshape(size, size)
 
 
-def _grover_classes(
-    values: np.ndarray, terms: np.ndarray, size: int
-) -> list[ClassCoefficients]:
-    values = values.reshape(size, size, 4)
-    terms = terms.reshape(size, size, 4, 4)
+def _grover_classes(coin: Coin, weights: np.ndarray, size: int) -> tuple[ClassCoefficients, ...]:
+    values, terms = _origin_terms(coin, weights, size)
+    values, terms = values.reshape(size, size, 4), terms.reshape(size, size, 4, 4)
     # (0, 0): fully degenerate block, kept as its own one-member class.
     centres, labels = cluster_labels(values[0, 0])
     totals = sum_by_label(labels, terms[0, 0])
@@ -739,7 +735,7 @@ def _grover_classes(
         pairs = tuple(map(tuple, members[orbit].tolist()))
         for k, (value, total) in enumerate(zip(expected[orbit].tolist(), totals[orbit]), 1):
             classes.append(ClassCoefficients(value, total, len(pairs), rep, k, pairs))
-    return classes
+    return tuple(classes)
 
 
 def origin_coefficients(
@@ -753,9 +749,9 @@ def origin_coefficients(
         amplitude(t) = (1/N^2) [ c_plus + c_minus (-1)^t
                                  + sum over other classes w l^t ]
 
-    For the diffusion coin, classes carry their momentum-orbit labels
-    (representative pair and eigenvalue index); the aggregated +-1 rows
-    reproduce the known closed-form values.
+    For the diffusion coin, `classes` carry their momentum-orbit labels
+    (representative pair and eigenvalue index), built from `coin` on first
+    read; the aggregated +-1 rows reproduce the known closed-form values.
     """
     weights = initial.weights
     values, terms = _origin_terms(coin, weights, size)
@@ -774,7 +770,7 @@ def origin_coefficients(
         eigenvalues=centres,
         weights=sums,
         multiplicities=np.bincount(labels),
-        orbit_classes=tuple(_grover_classes(values, terms, size)) if _is_grover(coin) else None,
+        coin=coin,
     )
 
 

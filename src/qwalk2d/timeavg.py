@@ -38,13 +38,8 @@ import numpy as np
 
 from .coins import CHIRALITIES, Coin, chirality_index
 from .evolve import check_norm, trajectory
-from .spectral import (
-    SpectralDecomposition,
-    _is_grover,
-    _origin_terms,
-    cluster_labels,
-    sum_by_label,
-)
+from .spectral import (SpectralDecomposition, _is_grover, cluster_labels, origin_coefficients,
+                       sum_by_label)
 from .state import ConsistencyError, InitialSpec, WalkState, _check_size, _table_rows
 
 __all__ = [
@@ -193,17 +188,16 @@ def exact_time_average(
     parity: str = "all",
 ) -> TimeAverageReport:
     """
-    Exact infinite-horizon time average at the origin via the eigenvalue
-    expansion of the origin amplitude.
+    Exact infinite-horizon time average at the origin from the eigenvalue
+    expansion of the origin amplitude that `origin_coefficients` builds.
 
     Works for any unitary coin; eigenvalue grouping across momentum
     blocks is numeric (tolerance 1e-9).  The coefficient algebra assumes
     an origin-localized initial state, so the origin is the only site.
     """
     _check_parity(parity)
-    values, terms = _origin_terms(coin, initial.weights, size)
-    values, labels = cluster_labels(values)
-    amps = sum_by_label(labels, terms) / size ** 2
+    expansion = origin_coefficients(coin, initial, size)
+    values, amps = expansion.eigenvalues, expansion.weights / size ** 2
     if parity != "all":
         if parity == "odd":
             amps = amps * values[:, None]

@@ -392,6 +392,26 @@ def test_size_above_the_budget_exits_2_before_allocating(command, tmp_path, caps
     assert cli.build_parser().parse_args(argv).n == cli.MAX_N
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_scan_samples_above_the_budget_exit_2_before_allocating(out, tmp_path, capsys,
+                                                                 monkeypatch):
+    # the parser refuses it: no scan is tabulated and no file is written
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scan-alpha ran past the samples check")
+
+    monkeypatch.setattr(cli.ta, "scan_alpha", unreachable)
+    argv = ["scan-alpha", "--samples", str(cli.MAX_SCAN_SAMPLES + 1)]
+    if out:
+        argv += ["--out", str(tmp_path / "scan.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"exceed the limit {cli.MAX_SCAN_SAMPLES}" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+    argv[2] = str(cli.MAX_SCAN_SAMPLES)
+    assert cli.build_parser().parse_args(argv).samples == cli.MAX_SCAN_SAMPLES
+
+
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
 def test_negative_steps_exit_2(backend, tmp_path, capsys):
     # each backend checks its own step count and names it in the same words

@@ -558,7 +558,26 @@ def test_grover_class_table_names_block_lacking_its_eigenvalue(monkeypatch):
 
     monkeypatch.setattr(spectral, "_origin_terms", shifted)
     with pytest.raises(SpectralError, match=r"block \(2, 3\) lacks expected eigenvalue"):
-        origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
+        origin_coefficients(grover_coin(), InitialSpec.pure("R"), size).classes
+
+
+def test_grover_class_table_is_built_on_first_read_only(monkeypatch):
+    # no exact route reads the orbit table; `classes` builds it once, then caches it
+    calls = []
+    grover_classes = spectral._grover_classes
+
+    def counted(*args):
+        calls.append(args[-1])
+        return grover_classes(*args)
+
+    monkeypatch.setattr(spectral, "_grover_classes", counted)
+    coin, spec, size = grover_coin(), InitialSpec.pure("R"), 7
+    expansion = origin_coefficients(coin, spec, size)
+    origin_eigenvalue_amplitudes(coin, spec, size)
+    exact_time_average(coin, spec, size, "odd")
+    assert calls == []
+    assert expansion.classes is expansion.classes
+    assert calls == [size]
 
 
 @pytest.mark.parametrize("size", [5, 7])
@@ -813,6 +832,20 @@ def test_exact_routes_hold_one_chunk_of_kernel_temporaries():
         assert peak < bound * size ** 2
 
 
+def test_folded_build_writes_representatives_into_the_grid():
+    # the representatives' eigensystems are solved into the grid arrays, with no
+    # representative-sized copies beside them (678 N^2 bytes with those copies)
+    coin, size = a1_coin(), 101
+    SpectralDecomposition.build(coin, size)
+    tracemalloc.start()
+    try:
+        SpectralDecomposition.build(coin, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * size ** 2
+
+
 @pytest.mark.parametrize(
     "coin,matrices", list(zip(FOLD_COINS, [15, 25, 25, 25, 41, 81, 15])), ids=FOLD_IDS
 )
@@ -846,7 +879,7 @@ def assert_eigensystem(h, values, vectors, tol=1e-13):
 def test_kernel_orthonormalizes_exactly_degenerate_blocks(coin, expected):
     # block (0, 0) is the coin itself; eigh's columns span each repeated eigenspace
     # orthonormally, with no QR pass
-    values, vectors = (a[0] for a in spectral._eigensystems(coin, [0], 9))
+    _, values, vectors = (a[0] for a in next(spectral._eigensystems(coin, [0], 9)))
     assert np.abs(values - expected).max() < 1e-14
     # the copies of a repeated eigenvalue are replaced by their mean
     assert len(set(values.tolist())) == 2
@@ -881,9 +914,9 @@ def test_kernel_on_an_in_block_pair(gap, distinct):
     coin = custom_coin(unitary_with_eigenvalues(values))
     if distinct is None:
         with pytest.raises(SpectralError, match=r"eigenpair residual .* in block \(0, 0\)"):
-            spectral._eigensystems(coin, [0], 9)
+            next(spectral._eigensystems(coin, [0], 9))
         return
-    got, vectors = (a[0] for a in spectral._eigensystems(coin, [0], 9))
+    _, got, vectors = (a[0] for a in next(spectral._eigensystems(coin, [0], 9)))
     assert_eigensystem(coin.entries, got, vectors, tol=1e-12)
     assert len(cluster_labels(got)[0]) == distinct
     assert multiset_gap(got, values) <= gap
@@ -1122,8 +1155,9 @@ def test_cluster_order_survives_last_bit_jitter(monkeypatch, coin):
     eigensystems = spectral._eigensystems
 
     def jittered(*args):
-        values, vectors = eigensystems(*args)
-        return values * np.exp(1j * rng.choice([-4e-16, 4e-16], size=values.shape)), vectors
+        for blocks, values, vectors in eigensystems(*args):
+            jitter = np.exp(1j * rng.choice([-4e-16, 4e-16], size=values.shape))
+            yield blocks, values * jitter, vectors
 
     monkeypatch.setattr(spectral, "_eigensystems", jittered)
     moved = SpectralDecomposition.build(coin, 21)
