@@ -135,6 +135,9 @@ EMPIRICAL_SAMPLES = 20000
 MAX_N = 1001
 #: Largest `scan-alpha --samples`: the scan and its CSV text peak near 248 bytes a sample, 1 GB.
 MAX_SCAN_SAMPLES = 4_000_000
+#: Largest N^2 * steps of direct evolution (`simulate`, `timeavg --method empirical`): at the
+#: 8.6e7 site-steps a second of grover at N = 201, t = N on a 2-vCPU host, about 20 minutes.
+MAX_SITE_STEPS = 10 ** 11
 
 
 def _scan_samples(value: str) -> int:
@@ -142,6 +145,11 @@ def _scan_samples(value: str) -> int:
     if samples > MAX_SCAN_SAMPLES:
         raise argparse.ArgumentTypeError(f"{samples} samples exceed the limit {MAX_SCAN_SAMPLES}")
     return samples
+
+
+def _check_site_steps(size: int, steps: int) -> None:
+    if size * size * steps > MAX_SITE_STEPS:
+        raise ValueError(f"N^2 * steps = {size * size * steps} exceeds the limit {MAX_SITE_STEPS}")
 
 
 def _odd_size(value: str) -> int:
@@ -208,6 +216,7 @@ def _cmd_simulate(args) -> int:
     if args.backend == "spectral":
         state = evolve_spectral(state, coin, args.steps)
     else:
+        _check_site_steps(args.n, args.steps)
         state = evolve(state, coin, args.steps)
     if args.format == "csv":
         grid = write_grid_csv(state, args.out)
@@ -252,8 +261,9 @@ def _cmd_timeavg(args) -> int:
         if args.method == "closed-form":
             report = ta.closed_form_report(coin, spec, args.n, args.parity)
         elif args.method == "empirical":
-            state = origin_superposition(args.n, spec)
             horizon = EMPIRICAL_SAMPLES if args.samples is None else args.samples
+            _check_site_steps(args.n, horizon)
+            state = origin_superposition(args.n, spec)
             report = ta.empirical_time_average(state, coin, horizon, parity=args.parity)
         else:
             report = ta.exact_time_average(coin, spec, args.n, parity=args.parity)

@@ -45,14 +45,13 @@ through projectors, never individual vectors.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coins import Coin, grover_coin
+from .coins import Coin
 from .evolve import check_norm
 from .state import InitialSpec, WalkState, _check_size, _json_frame, _table_rows, _write_parts
 
@@ -213,10 +212,17 @@ def cluster_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sum_by_label(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum the rows sharing each label: entry k is the sum of rows[labels == k]."""
+    """Sum the rows sharing each label: entry k is the sum of rows[labels == k], each real
+    column by one `np.bincount`, which adds in row order as `np.add.at` does."""
     rows = np.asarray(rows)
-    sums = np.zeros((labels.max() + 1,) + rows.shape[1:], dtype=rows.dtype)
-    np.add.at(sums, labels, rows)
+    sums = np.empty((labels.max() + 1,) + rows.shape[1:], dtype=rows.dtype)
+    parts = [(sums.real, rows.real)]
+    if np.iscomplexobj(rows):
+        parts.append((sums.imag, rows.imag))
+    for out, part in parts:
+        for column in np.ndindex(rows.shape[1:]):
+            column = (slice(None), *column)
+            out[column] = np.bincount(labels, part[column], minlength=len(sums))
     return sums
 
 
@@ -620,7 +626,7 @@ def _origin_terms(coin: Coin, weights: np.ndarray, size: int):
 @dataclass(frozen=True)
 class ClassCoefficients:
     """
-    Aggregated origin-expansion coefficient of one eigenvalue class.
+    Aggregated origin-expansion coefficient of one distinct eigenvalue.
 
     `weights` uses the convention in which the origin amplitude reads
     (1/N^2) [ C(+1) + C(-1) (-1)^t + sum over classes w l^t ], i.e. the
@@ -630,27 +636,17 @@ class ClassCoefficients:
     eigenvalue: complex
     weights: np.ndarray
     multiplicity: int
-    representative: tuple[int, int] | None = None
-    k: int | None = None
-    members: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class OriginExpansion:
     """
     Eigenvalue-grouped coefficient table of the origin wavefunction for an
-    origin-localized initial state.
-
-    `eigenvalues` (K,), in the order of `cluster_labels`, `weights` (K, 4)
-    in the convention of `ClassCoefficients` and `multiplicities` (K,) hold
-    one row per distinct eigenvalue.  `c_plus` and `c_minus` aggregate the
-    +1 and -1 contributions per chirality; `classes` itemizes every class
-    including those aggregated into `c_plus`/`c_minus`, built on first read
-    and cached.  For the diffusion coin the classes follow the momentum
-    orbits (labeled by representative and k), solved again from `coin`:
-    first the clusters of block (0, 0), then the axis, diagonal and generic
-    orbits, each group by representative and each orbit by k = 1..4.  For
-    other coins they are the rows above.
+    origin-localized initial state: `eigenvalues` (K,), in the order of
+    `cluster_labels`, `weights` (K, 4) in the convention of
+    `ClassCoefficients` and `multiplicities` (K,) hold one row per distinct
+    eigenvalue, and `classes` the same rows as objects.  `c_plus` and
+    `c_minus` aggregate the +1 and -1 contributions per chirality.
     """
 
     coin_label: str
@@ -661,12 +657,10 @@ class OriginExpansion:
     eigenvalues: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     multiplicities: np.ndarray = field(repr=False)
-    coin: Coin = field(repr=False)
 
-    @functools.cached_property
+    @property
     def classes(self) -> tuple[ClassCoefficients, ...]:
-        if _is_grover(self.coin):
-            return _grover_classes(self.coin, self.initial, self.size)
+        """The rows as objects, in the order of `eigenvalues`, built on each access."""
         return tuple(map(ClassCoefficients, self.eigenvalues.tolist(), self.weights,
                          self.multiplicities.tolist()))
 
@@ -683,64 +677,7 @@ class OriginExpansion:
         return total
 
 
-def _is_grover(coin: Coin) -> bool:
-    return bool(np.abs(coin.entries - grover_coin().entries).max() < 1e-12)
-
-
-def _orbit_labels(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """
-    The grover degeneracy orbits: their representatives (orbits, 2) and the
-    orbit label of every block (N, N), numbering the orbits origin (label
-    0), axis, diagonal, generic, each group by representative.  With
-    a = min(n, N - n), b = min(m, N - m) the representative of (n, m) is
-    (max(a, b), 0) on the axes, (n, n) where a == b > 0 (so (n, N - n)
-    joins (n, n)) and (min(a, b), max(a, b)) elsewhere.
-    """
-    n, m = np.indices((size, size))
-    a, b = np.minimum(n, size - n), np.minimum(m, size - m)
-    low, high = np.minimum(a, b), np.maximum(a, b)
-    diagonal = (a == b) & (a > 0)
-    group = np.select([high == 0, low == 0, diagonal], [0, 1, 2], 3)
-    rep_n = np.where(diagonal, n, np.where(low == 0, high, low))
-    rep_m = np.where(diagonal, n, np.where(low == 0, 0, high))
-    keys, labels = np.unique((group * size + rep_n) * size + rep_m, return_inverse=True)
-    return np.stack([keys // size % size, keys % size], axis=-1), labels.reshape(size, size)
-
-
-def _grover_classes(coin: Coin, weights: np.ndarray, size: int) -> tuple[ClassCoefficients, ...]:
-    values, terms = _origin_terms(coin, weights, size)
-    values, terms = values.reshape(size, size, 4), terms.reshape(size, size, 4, 4)
-    # (0, 0): fully degenerate block, kept as its own one-member class.
-    centres, labels = cluster_labels(values[0, 0])
-    totals = sum_by_label(labels, terms[0, 0])
-    classes = [
-        ClassCoefficients(value, total, count, (0, 0), 2 if count == 1 else None, ((0, 0),))
-        for value, total, count in zip(centres.tolist(), totals, np.bincount(labels).tolist())
-    ]
-    # Other orbits: class k holds the k-th closed-form eigenvalue of the representative.
-    representatives, orbits = _orbit_labels(size)
-    expected = grover_eigenvalues(representatives[:, 0], representatives[:, 1], size)
-    match = np.abs(expected[orbits][..., :, None] - values[..., None, :]) <= DEGENERACY_TOL
-    lacking = np.argwhere(~match.any(axis=-1))
-    if lacking.size:
-        n, m, k = lacking[0]
-        value = expected[orbits[n, m], k]
-        raise SpectralError(f"block ({n}, {m}) lacks expected eigenvalue {value:.6f}")
-    weights = np.einsum("...kj,...jc->...kc", match, terms).reshape(-1, 4, 4)
-    totals = sum_by_label(orbits.ravel()[1:], weights[1:])
-    blocks = np.stack(np.divmod(np.argsort(orbits, axis=None, kind="stable"), size), axis=-1)
-    members = np.split(blocks, np.cumsum(np.bincount(orbits.ravel()))[:-1])
-    for orbit in range(1, len(members)):
-        rep = tuple(representatives[orbit].tolist())
-        pairs = tuple(map(tuple, members[orbit].tolist()))
-        for k, (value, total) in enumerate(zip(expected[orbit].tolist(), totals[orbit]), 1):
-            classes.append(ClassCoefficients(value, total, len(pairs), rep, k, pairs))
-    return tuple(classes)
-
-
-def origin_coefficients(
-    coin: Coin, initial: InitialSpec, size: int
-) -> OriginExpansion:
+def origin_coefficients(coin: Coin, initial: InitialSpec, size: int) -> OriginExpansion:
     """
     Coefficient table of the origin wavefunction expansion.
 
@@ -749,9 +686,8 @@ def origin_coefficients(
         amplitude(t) = (1/N^2) [ c_plus + c_minus (-1)^t
                                  + sum over other classes w l^t ]
 
-    For the diffusion coin, `classes` carry their momentum-orbit labels
-    (representative pair and eigenvalue index), built from `coin` on first
-    read; the aggregated +-1 rows reproduce the known closed-form values.
+    For the diffusion coin the aggregated +-1 rows reproduce the known
+    closed-form values.
     """
     weights = initial.weights
     values, terms = _origin_terms(coin, weights, size)
@@ -770,7 +706,6 @@ def origin_coefficients(
         eigenvalues=centres,
         weights=sums,
         multiplicities=np.bincount(labels),
-        coin=coin,
     )
 
 

@@ -36,10 +36,9 @@ from itertools import islice
 
 import numpy as np
 
-from .coins import CHIRALITIES, Coin, chirality_index
+from .coins import CHIRALITIES, Coin, chirality_index, grover_coin
 from .evolve import check_norm, trajectory
-from .spectral import (SpectralDecomposition, _is_grover, cluster_labels, origin_coefficients,
-                       sum_by_label)
+from .spectral import SpectralDecomposition, cluster_labels, origin_coefficients, sum_by_label
 from .state import ConsistencyError, InitialSpec, WalkState, _check_size, _table_rows
 
 __all__ = [
@@ -264,6 +263,10 @@ def limit_time_average(initial: InitialSpec, chirality) -> float:
     origin for an origin-localized initial state.
     """
     return float(abs(_limit_amplitudes(initial.weights)[chirality_index(chirality)]) ** 2)
+
+
+def _is_grover(coin: Coin) -> bool:
+    return bool(np.abs(coin.entries - grover_coin().entries).max() < 1e-12)
 
 
 def limit_report(coin: Coin, initial: InitialSpec) -> TimeAverageReport:

@@ -412,6 +412,43 @@ def test_scan_samples_above_the_budget_exit_2_before_allocating(out, tmp_path, c
     assert cli.build_parser().parse_args(argv).samples == cli.MAX_SCAN_SAMPLES
 
 
+@pytest.mark.parametrize("command", ["simulate", "timeavg"])
+def test_direct_evolution_above_the_site_step_budget_exits_2(command, tmp_path, capsys,
+                                                             monkeypatch):
+    # N^2 * steps is checked before any step is taken; the bound itself is never run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("direct evolution ran past the site-step check")
+
+    monkeypatch.setattr(cli, "evolve", unreachable)
+    monkeypatch.setattr(cli.ta, "empirical_time_average", unreachable)
+    size = 101
+    steps = cli.MAX_SITE_STEPS // size ** 2 + 1
+    out = tmp_path / "grid.csv"
+    if command == "simulate":
+        argv = ["simulate", "--coin", "grover", "--n", str(size), "--steps", str(steps),
+                "--out", str(out)]
+    else:
+        argv = ["timeavg", "--method", "empirical", "--n", str(size), "--samples", str(steps)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"exceeds the limit {cli.MAX_SITE_STEPS}" in captured.err
+    assert not out.exists()
+    # one step fewer passes the check and reaches the (patched) evolution
+    argv[argv.index(str(steps))] = str(steps - 1)
+    with pytest.raises(AssertionError, match="ran past the site-step check"):
+        cli.main(argv)
+
+
+def test_spectral_backend_has_no_site_step_budget(tmp_path, capsys, monkeypatch):
+    # propagation costs O(N^2 log t), so a step count past the direct budget runs
+    monkeypatch.setattr(cli, "evolve", None)
+    size = 21
+    steps = cli.MAX_SITE_STEPS // size ** 2 + 1
+    assert cli.main(["simulate", "--coin", "grover", "--n", str(size), "--steps", str(steps),
+                     "--backend", "spectral", "--out", str(tmp_path / "grid.csv")]) == 0
+    assert capsys.readouterr().out.startswith("origin probability: ")
+
+
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
 def test_negative_steps_exit_2(backend, tmp_path, capsys):
     # each backend checks its own step count and names it in the same words

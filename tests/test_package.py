@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -17,3 +18,14 @@ def test_package_all_is_the_union_of_module_all():
 def test_package_names_resolve_to_module_objects(module):
     for name in module.__all__:
         assert getattr(qwalk2d, name) is getattr(module, name)
+
+
+def test_expansion_dataclass_fields_are_pinned():
+    # a field that leaves or joins the public surface shows up as an edit here
+    assert [f.name for f in dataclasses.fields(qwalk2d.OriginExpansion)] == [
+        "coin_label", "size", "initial", "c_plus", "c_minus",
+        "eigenvalues", "weights", "multiplicities",
+    ]
+    assert [f.name for f in dataclasses.fields(qwalk2d.ClassCoefficients)] == [
+        "eigenvalue", "weights", "multiplicity",
+    ]

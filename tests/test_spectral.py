@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -270,10 +271,59 @@ def test_projectors_match_numeric_in_degenerate_subspace():
         assert np.abs(p_closed - p_numeric).max() < 1e-10
 
 
+#: A row of the grover class table: the k-th closed-form eigenvalue of an orbit's
+#: representative block, with its member blocks and their summed origin projections.
+GroverClass = namedtuple(
+    "GroverClass", ["representative", "k", "members", "multiplicity", "eigenvalue", "weights"]
+)
+
+
+def grover_representatives(size):
+    """Representatives of grover's degeneracy orbits but (0, 0): axis, diagonal, generic."""
+    half = (size - 1) // 2
+    return (
+        [(n, 0) for n in range(1, half + 1)]
+        + [(n, n) for n in range(1, size)]
+        + [(n, m) for n in range(1, half) for m in range(n + 1, half + 1)]
+    )
+
+
+def orbit(n, m, size):
+    """The blocks of the grover degeneracy orbit whose representative is (n, m)."""
+    if m == 0:
+        return {(n, 0), (0, n), (size - n, 0), (0, size - n)}
+    if n == m:
+        return {(n, n), (n, size - n)}
+    pairs = {(p, q) for p in (n, size - n) for q in (m, size - m)}
+    return pairs | {(q, p) for p, q in pairs}
+
+
+def reference_grover_classes(spec, size):
+    """
+    The grover class table from explicit orbit sets and a per-member loop
+    over `build_block`, one `GroverClass` per orbit and k, block (0, 0) left out.
+    """
+    blocks = {}
+    rows = []
+    for rep in grover_representatives(size):
+        members = tuple(sorted(orbit(*rep, size)))
+        for k, value in enumerate(grover_eigenvalues(*rep, size), start=1):
+            total = np.zeros(4, dtype=complex)
+            for member in members:
+                if member not in blocks:
+                    blocks[member] = build_block(grover_coin(), *member, size)
+                eigenvalues, eigenvectors = blocks[member]
+                match = np.abs(eigenvalues - value) <= DEGENERACY_TOL
+                assert match.any()
+                vectors = eigenvectors[:, match]
+                total += vectors @ (vectors.conj().T @ spec.weights)
+            rows.append(GroverClass(rep, k, members, len(members), complex(value), total))
+    return rows
+
+
 def _class_holding(size, block, k=3):
-    """The row of the grover class table whose orbit holds `block`, for eigenvalue k."""
-    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
-    for cls in expansion.classes:
+    """The row of the reference class table whose orbit holds `block`, for eigenvalue k."""
+    for cls in reference_grover_classes(InitialSpec.pure("R"), size):
         if cls.k == k and block in cls.members:
             return cls
     raise AssertionError(f"no class k={k} holds block {block}")
@@ -310,8 +360,7 @@ def test_degeneracy_class_zero_first_momentum_uses_axis_orbit():
 def test_degeneracy_class_members_share_cosine_sum():
     size = 9
     xi = lambda j: 2 * np.pi * j / size
-    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
-    for cls in expansion.classes:
+    for cls in reference_grover_classes(InitialSpec.pure("R"), size):
         reference = np.cos(xi(cls.representative[0])) + np.cos(xi(cls.representative[1]))
         for n, m in cls.members:
             assert abs(np.cos(xi(n)) + np.cos(xi(m)) - reference) < 1e-12
@@ -393,8 +442,8 @@ def test_evolve_spectral_handles_delocalized_input():
 # Origin-expansion coefficient tables
 # ---------------------------------------------------------------------------
 
-def _class_by_label(expansion, representative, k):
-    for cls in expansion.classes:
+def _class_by_label(classes, representative, k):
+    for cls in classes:
         if cls.representative == representative and cls.k == k:
             return cls
     raise AssertionError(f"class {representative}, k={k} not found")
@@ -405,35 +454,36 @@ def test_grover_pure_r_coefficient_table(size):
     expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
     assert expansion.c_plus[0] == pytest.approx(size ** 2 / 4, abs=1e-9)
     assert expansion.c_minus[0] == pytest.approx(0.5 + size ** 2 / 4, abs=1e-9)
+    classes = reference_grover_classes(InitialSpec.pure("R"), size)
     half = (size - 1) // 2
     for n in range(1, half + 1):
         for k in (1, 2, 3, 4):
-            coeff = _class_by_label(expansion, (n, 0), k).weights[0]
+            coeff = _class_by_label(classes, (n, 0), k).weights[0]
             assert coeff == pytest.approx(1.0, abs=1e-9)
     for n in range(1, size):
         expected = {1: 0.5, 2: 0.5, 3: 0.0, 4: 1.0}
         for k, value in expected.items():
-            coeff = _class_by_label(expansion, (n, n), k).weights[0]
+            coeff = _class_by_label(classes, (n, n), k).weights[0]
             assert coeff == pytest.approx(value, abs=1e-9)
     for n in range(1, half):
         for m in range(n + 1, half + 1):
             for k in (1, 2, 3, 4):
-                coeff = _class_by_label(expansion, (n, m), k).weights[0]
+                coeff = _class_by_label(classes, (n, m), k).weights[0]
                 assert coeff == pytest.approx(2.0, abs=1e-9)
 
 
 def test_grover_pure_l_coefficient_table():
     size = 7
     xi = lambda j: 2 * np.pi * j / size
-    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("L"), size)
+    classes = reference_grover_classes(InitialSpec.pure("L"), size)
     for n in range(1, (size - 1) // 2 + 1):
         expected = -1 + 4 / (3 + np.cos(xi(n)))
         for k in (3, 4):
-            coeff = _class_by_label(expansion, (n, 0), k).weights[0]
+            coeff = _class_by_label(classes, (n, 0), k).weights[0]
             assert coeff == pytest.approx(expected, abs=1e-9)
     for n in range(1, size):
         for k in (3, 4):
-            coeff = _class_by_label(expansion, (n, n), k).weights[0]
+            coeff = _class_by_label(classes, (n, n), k).weights[0]
             assert abs(coeff) < 1e-9
     for (n, m) in [(1, 2), (1, 3), (2, 3)]:
         cn, cm = np.cos(xi(n)), np.cos(xi(m))
@@ -441,7 +491,7 @@ def test_grover_pure_l_coefficient_table():
             6 - np.cos(2 * xi(m)) - np.cos(2 * xi(n)) - 4 * cn * cm
         )
         for k in (3, 4):
-            coeff = _class_by_label(expansion, (n, m), k).weights[0]
+            coeff = _class_by_label(classes, (n, m), k).weights[0]
             assert coeff == pytest.approx(expected, abs=1e-9)
 
 
@@ -468,11 +518,11 @@ def test_grover_pure_r_cross_chirality_coefficients():
     # generic-class +-1 coefficients seen from chiralities L and U
     size = 7
     xi = lambda j: 2 * np.pi * j / size
-    expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
+    classes = reference_grover_classes(InitialSpec.pure("R"), size)
     for (n, m) in [(1, 2), (2, 3)]:
         cn, cm = np.cos(xi(n)), np.cos(xi(m))
-        k1 = _class_by_label(expansion, (n, m), 1).weights
-        k2 = _class_by_label(expansion, (n, m), 2).weights
+        k1 = _class_by_label(classes, (n, m), 1).weights
+        k2 = _class_by_label(classes, (n, m), 2).weights
         assert k1[1] == pytest.approx(
             2 * (cm + cn - 2 * cm * cn) / (-2 + cm + cn), abs=1e-9
         )
@@ -489,45 +539,6 @@ def test_grover_pure_r_cross_chirality_coefficients():
         )
 
 
-def reference_grover_classes(spec, size):
-    """
-    The grover class table from explicit orbit sets and a per-member loop
-    over `build_block`: (representative, k, members, multiplicity,
-    eigenvalue, weights) per class, block (0, 0) left out.
-    """
-    half = (size - 1) // 2
-    representatives = (
-        [(n, 0) for n in range(1, half + 1)]
-        + [(n, n) for n in range(1, size)]
-        + [(n, m) for n in range(1, half) for m in range(n + 1, half + 1)]
-    )
-
-    def orbit(n, m):
-        if m == 0:
-            return {(n, 0), (0, n), (size - n, 0), (0, size - n)}
-        if n == m:
-            return {(n, n), (n, size - n)}
-        pairs = {(p, q) for p in (n, size - n) for q in (m, size - m)}
-        return pairs | {(q, p) for p, q in pairs}
-
-    blocks = {}
-    rows = []
-    for rep in representatives:
-        members = tuple(sorted(orbit(*rep)))
-        for k, value in enumerate(grover_eigenvalues(*rep, size), start=1):
-            total = np.zeros(4, dtype=complex)
-            for member in members:
-                if member not in blocks:
-                    blocks[member] = build_block(grover_coin(), *member, size)
-                eigenvalues, eigenvectors = blocks[member]
-                match = np.abs(eigenvalues - value) <= DEGENERACY_TOL
-                assert match.any()
-                vectors = eigenvectors[:, match]
-                total += vectors @ (vectors.conj().T @ spec.weights)
-            rows.append((rep, k, members, len(members), complex(value), total))
-    return rows
-
-
 @pytest.mark.parametrize("size", [3, 5, 7, 9, 21])
 @pytest.mark.parametrize(
     "spec",
@@ -535,49 +546,23 @@ def reference_grover_classes(spec, size):
     ids=["R", "L", "custom"],
 )
 def test_grover_class_table_matches_per_member_reference(spec, size):
+    # the reference rows and block (0, 0)'s four eigenpairs, summed by the expansion
+    # cluster their eigenvalue falls in, give the expansion's weights and member counts
     expansion = origin_coefficients(grover_coin(), spec, size)
-    origin = [cls for cls in expansion.classes if cls.representative == (0, 0)]
-    assert [cls.members for cls in origin] == [((0, 0),)] * 2
-    table = expansion.classes[len(origin):]
-    reference = reference_grover_classes(spec, size)
-    assert len(table) == len(reference)
-    for cls, (rep, k, members, multiplicity, value, weights) in zip(table, reference):
-        assert (cls.representative, cls.k, cls.members) == (rep, k, members)
-        assert (cls.multiplicity, cls.eigenvalue) == (multiplicity, value)
-        assert np.abs(cls.weights - weights).max() < 1e-12
-
-
-def test_grover_class_table_names_block_lacking_its_eigenvalue(monkeypatch):
-    size = 7
-    origin_terms = spectral._origin_terms
-
-    def shifted(*args):
-        values, terms = origin_terms(*args)
-        values[(2 * size + 3) * 4 + 2] += 1e-6  # block (2, 3), its l3
-        return values, terms
-
-    monkeypatch.setattr(spectral, "_origin_terms", shifted)
-    with pytest.raises(SpectralError, match=r"block \(2, 3\) lacks expected eigenvalue"):
-        origin_coefficients(grover_coin(), InitialSpec.pure("R"), size).classes
-
-
-def test_grover_class_table_is_built_on_first_read_only(monkeypatch):
-    # no exact route reads the orbit table; `classes` builds it once, then caches it
-    calls = []
-    grover_classes = spectral._grover_classes
-
-    def counted(*args):
-        calls.append(args[-1])
-        return grover_classes(*args)
-
-    monkeypatch.setattr(spectral, "_grover_classes", counted)
-    coin, spec, size = grover_coin(), InitialSpec.pure("R"), 7
-    expansion = origin_coefficients(coin, spec, size)
-    origin_eigenvalue_amplitudes(coin, spec, size)
-    exact_time_average(coin, spec, size, "odd")
-    assert calls == []
-    assert expansion.classes is expansion.classes
-    assert calls == [size]
+    values, vectors = build_block(grover_coin(), 0, 0, size)
+    rows = [(value, 1, column * (column.conj() @ spec.weights))
+            for value, column in zip(values.tolist(), vectors.T)]
+    for cls in reference_grover_classes(spec, size):
+        assert cls.eigenvalue == grover_eigenvalues(*cls.representative, size)[cls.k - 1]
+        rows.append((cls.eigenvalue, cls.multiplicity, cls.weights))
+    sums = np.zeros_like(expansion.weights)
+    counts = np.zeros_like(expansion.multiplicities)
+    for value, count, weights in rows:
+        (cluster,) = np.flatnonzero(np.abs(expansion.eigenvalues - value) <= DEGENERACY_TOL)
+        sums[cluster] += weights
+        counts[cluster] += count
+    assert np.abs(sums - expansion.weights).max() < 1e-12
+    assert np.array_equal(counts, expansion.multiplicities)
 
 
 @pytest.mark.parametrize("size", [5, 7])
@@ -599,21 +584,22 @@ def test_expansion_reproduces_direct_evolution(coin):
 
 
 def test_expansion_class_multiplicities():
-    # every one of the 4 N^2 eigenvalues is accounted for exactly once; an orbit
-    # holds 4 blocks on the axes, 2 on the diagonal and 8 elsewhere
+    # every one of the 4 N^2 eigenvalues is accounted for exactly once: four in block
+    # (0, 0) and one per member of an orbit, which holds 4 blocks on the axes, 2 on the
+    # diagonal and 8 elsewhere
     for size in (5, 9):
         expansion = origin_coefficients(grover_coin(), InitialSpec.pure("R"), size)
         assert sum(cls.multiplicity for cls in expansion.classes) == 4 * size ** 2
-        for cls in expansion.classes:
+        classes = reference_grover_classes(InitialSpec.pure("R"), size)
+        assert 4 + sum(cls.multiplicity for cls in classes) == 4 * size ** 2
+        for cls in classes:
             n, m = cls.representative
-            if (n, m) != (0, 0):
-                orbit = 4 if m == 0 else 2 if n == m else 8
-                assert len(cls.members) == cls.multiplicity == orbit
+            members = 4 if m == 0 else 2 if n == m else 8
+            assert len(cls.members) == cls.multiplicity == members
 
 
 def test_non_grover_expansion_unlabeled_clusters():
     expansion = origin_coefficients(a1_coin(), InitialSpec.pure("R"), 5)
-    assert all(cls.representative is None for cls in expansion.classes)
     assert sum(c.multiplicity for c in expansion.classes) == 4 * 25
 
 
@@ -724,6 +710,26 @@ def test_sum_by_label_matches_loop(case):
     for label, row in zip(labels, rows):
         expected[label] += row
     assert np.array_equal(sum_by_label(labels, rows), expected)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)], ids=["values", "rows", "matrices"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sum_by_label_has_the_bits_of_add_at(shape, dtype):
+    # label 2 has no rows; signed zeros, alone and among other values, sum as add.at sums them
+    rng = np.random.default_rng(3)
+    labels = rng.choice([0, 1, 3, 4], size=200)
+    labels[:20] = 4
+    rows = rng.normal(size=(200, *shape)) * 10.0 ** rng.integers(-8, 8, size=(200, *shape))
+    if dtype is complex:
+        rows = rows + 1j * rng.normal(size=rows.shape)
+    rows[labels == 4] *= 0.0
+    rows[::7] = -0.0
+    expected = np.zeros((5, *shape), dtype=dtype)
+    np.add.at(expected, labels, rows)
+    sums = sum_by_label(labels, rows)
+    assert sums.dtype == expected.dtype and sums.shape == expected.shape
+    for got, want in [(sums.real, expected.real), (sums.imag, expected.imag)]:
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_predictor_clusters_the_spectrum_once(monkeypatch):
@@ -1036,7 +1042,14 @@ def test_grover_fold_orbits_are_the_degeneracy_orbits(size):
     # (a, -a)} and {(-a, -a), (-a, a)}, because l3 and l4 trade places under k -> -k; join
     # every table orbit with its image under -1 and the two partitions are equal.
     rep = spectral._orbits(spectral._coin_symmetries(grover_coin()), size)[0]
-    labels = spectral._orbit_labels(size)[1].ravel()
+    labels = np.full((size, size), -1)
+    labels[0, 0] = 0
+    for label, representative in enumerate(grover_representatives(size), 1):
+        for block in orbit(*representative, size):
+            assert labels[block] == -1
+            labels[block] = label
+    labels = labels.ravel()
+    assert (labels >= 0).all()
     n, m = np.divmod(np.arange(size * size), size)
     mirrored = labels[(-n % size) * size + (-m % size)]
     joined = np.minimum(labels, mirrored)
@@ -1245,10 +1258,7 @@ def test_cluster_objects_equal_a_per_value_reference(coin, size):
     assert [value for value, _ in expansion.merged] == centres.tolist()
     for (_, amp), total in zip(expansion.merged, sums):
         assert np.array_equal(amp, total / size ** 2)
-    if coin.label == "grover":
-        return
     assert len(expansion.classes) == len(centres)
     for cls, value, total, count in zip(expansion.classes, centres.tolist(), sums, counts):
         assert cls.eigenvalue == value and np.array_equal(cls.weights, total)
         assert cls.multiplicity == count
-        assert (cls.representative, cls.k, cls.members) == (None, None, ())
