@@ -29,7 +29,8 @@ one importing each tree's program, take turns call by call on the rows
 of `paired_paths`, PAIRS pairs per row and size, the order flipped every
 pair, after one warm-up call each.  Every row gets both trees' medians,
 the per-pair ratio of this tree's time to DIR's with its quartiles, and
-the count of pairs this tree won; the tracemalloc peaks of
+the count of pairs this tree won; a row timed at several sizes also gets
+both trees' exponents, fitted to their medians.  The tracemalloc peaks of
 `paired_peaks` come from each worker too.  Rows of unchanged code then
 read near 1 even when the host's clock drifts between minutes.
 """
@@ -359,8 +360,9 @@ def paired(against: pathlib.Path) -> dict:
         with tempfile.TemporaryDirectory(dir=ROOT) as tmp:
             rows = [(name, sizes) for name, sizes, _ in paired_paths(pathlib.Path(tmp))]
             peak_rows = [(name, sizes) for name, sizes, _ in paired_peaks(pathlib.Path(tmp))]
-        table = []
+        table, exponents = [], []
         for name, sizes in rows:
+            medians = ([], [])
             for n in sizes:
                 for worker in workers:
                     ask(worker, "time", name, n)
@@ -369,6 +371,8 @@ def paired(against: pathlib.Path) -> dict:
                     for side in (0, 1) if k % 2 == 0 else (1, 0):
                         times[side].append(ask(workers[side], "time", name, n))
                 ratios = [mine / theirs for mine, theirs in zip(*times)]
+                for side in (0, 1):
+                    medians[side].append(statistics.median(times[side]))
                 q1, median, q3 = statistics.quantiles(ratios, n=4)
                 table.append({"path": name, "N": n,
                               "median_s": statistics.median(times[0]),
@@ -377,6 +381,11 @@ def paired(against: pathlib.Path) -> dict:
                               "faster_pairs": sum(r < 1.0 for r in ratios)})
                 print(f"{name:48s} N={n:<5d} ratio {median:.3f} [{q1:.3f}, {q3:.3f}]  "
                       f"faster in {table[-1]['faster_pairs']} of {PAIRS}", flush=True)
+            if len(sizes) > 1:
+                exponents.append({"path": name, "exponent": slope(sizes, medians[0]),
+                                  "against_exponent": slope(sizes, medians[1])})
+                print(f"{name:48s} exponent {exponents[-1]['exponent']:.2f} against "
+                      f"{exponents[-1]['against_exponent']:.2f}", flush=True)
         peaks = []
         for name, sizes in peak_rows:
             for n in sizes:
@@ -389,7 +398,7 @@ def paired(against: pathlib.Path) -> dict:
         for worker in workers:
             worker.stdin.close()
             worker.wait()
-    return {"pairs_per_row": PAIRS, "paths": table, "peaks": peaks}
+    return {"pairs_per_row": PAIRS, "paths": table, "exponents": exponents, "peaks": peaks}
 
 
 def timed(fn, n):

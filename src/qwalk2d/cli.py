@@ -114,24 +114,30 @@ def parse_initial(text: str) -> InitialSpec:
     if len(parts) != 4:
         raise ValueError(f"custom initial state needs 4 components, got {len(parts)}")
     weights = np.array([parse_complex(part) for part in parts])
-    norm = float(np.sqrt((np.abs(weights) ** 2).sum()))
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((np.abs(weights) ** 2).sum()))
+    if not 0.0 < norm < np.inf and weights.any():
+        # |w|^2 underflowed or overflowed: scale w by its largest real or imaginary part
+        real = weights.view(np.float64)
+        scale = np.abs(real).max()
+        weights = (real / scale).view(np.complex128)
+        norm = float(np.sqrt((np.abs(weights) ** 2).sum()))
     if norm == 0.0:
         raise ValueError("custom initial state cannot be all zero")
-    if abs(norm - 1.0) > 1e-6:
-        print(
-            f"warning: normalizing initial state (input norm {norm:.6g})",
-            file=sys.stderr,
-        )
+    if abs(scale * norm - 1.0) > 1e-6:
+        print(f"warning: normalizing initial state (input norm {scale * norm:.6g})",
+              file=sys.stderr)
     weights = weights / norm
     return InitialSpec(*weights)
 
 
 #: Default time horizon of `timeavg --method empirical`.
 EMPIRICAL_SAMPLES = 20000
-#: Largest `--n`.  A state takes 64 N^2 bytes, the exact commands' eigenvectors 256 N^2.  By
-#: tracemalloc at N = 101 and 201, a coin with no symmetry peaks near 1060 N^2 bytes in `timeavg
-#: --method exact --parity odd` (1.1 GB at N = 1001) and at most 530 N^2 in `spectrum`, which
-#: streams its text to stdout or `--out`, and `predict`.
+#: Largest `--n`.  A state takes 64 N^2 bytes.  The exact commands keep one row per symmetry
+#: orbit, so a coin with none sets the limit: by tracemalloc at N = 101 and 201 it peaks near
+#: 990 N^2 bytes in `timeavg --method exact --parity odd` (1.0 GB at N = 1001) and at most 470
+#: N^2 in `spectrum`, which streams its text, and `predict` (grover: 380 N^2 at most).
 MAX_N = 1001
 #: Largest `scan-alpha --samples`: the scan and its CSV text peak near 248 bytes a sample, 1 GB.
 MAX_SCAN_SAMPLES = 4_000_000

@@ -198,13 +198,13 @@ def cluster_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.asarray(values)
     order = np.argsort(np.angle(values), kind="stable")
-    ordered = values[order]
-    runs = np.concatenate([[0], np.cumsum(np.abs(np.diff(ordered)) > DEGENERACY_TOL)])
-    if runs[-1] > 0 and abs(ordered[-1] - ordered[0]) <= DEGENERACY_TOL:
+    runs = np.concatenate([[0], np.cumsum(np.abs(np.diff(values[order])) > DEGENERACY_TOL)])
+    if runs[-1] > 0 and abs(values[order[-1]] - values[order[0]]) <= DEGENERACY_TOL:
         runs[runs == runs[-1]] = 0
     labels = np.empty_like(runs)
     labels[order] = runs
-    means = sum_by_label(labels, values) / np.bincount(labels)
+    means = sum_by_label(labels, values)
+    means /= np.bincount(labels)
     rank = np.lexsort((means.imag, np.round(means.real / DEGENERACY_TOL)))
     relabel = np.empty_like(rank)
     relabel[rank] = np.arange(rank.size)
@@ -224,15 +224,6 @@ def sum_by_label(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
             column = (slice(None), *column)
             out[column] = np.bincount(labels, part[column], minlength=len(sums))
     return sums
-
-
-def _sorted(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order each block's eigenvalues like the centres of `cluster_labels`, columns alike."""
-    order = np.lexsort((values.imag, np.round(values.real / DEGENERACY_TOL)), axis=-1)
-    return (
-        np.take_along_axis(values, order, axis=-1),
-        np.take_along_axis(vectors, order[..., None, :], axis=-1),
-    )
 
 
 def _unitary_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +270,7 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int):
     """
     Diagonalize the blocks with flat indices `index` (block (n, m) at
     n N + m) with `_unitary_eigh`, EIGH_CHUNK blocks at a time: the orbit
-    representatives of `_grid_eigensystems` (every block for a coin with no
+    representatives of `_orbit_spectrum` (every block for a coin with no
     symmetry), one block for `build_block`.
 
     Yields each chunk once checked, as (blocks, values, vectors): its flat
@@ -310,7 +301,10 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int):
         for b in np.flatnonzero(close.sum(axis=(-2, -1)) > 4):
             centres, labels = cluster_labels(found[b])
             found[b] = centres[labels]
-        found, columns = _sorted(found, columns)
+        # each block in the order of the centres of `cluster_labels`, its columns alike
+        order = np.lexsort((found.imag, np.round(found.real / DEGENERACY_TOL)), axis=-1)
+        found = np.take_along_axis(found, order, axis=-1)
+        columns = np.take_along_axis(columns, order[:, None, :], axis=-1)
         # batch-last (4, 4, B) copies: their einsum takes under half a stacked matmul's time
         h, v = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (h, columns))
         adjoint = np.ascontiguousarray(columns.conj().transpose(2, 1, 0))
@@ -330,39 +324,56 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int):
         yield blocks, found, columns
 
 
-def _grid_eigensystems(coin: Coin, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_spectrum(coin: Coin, size: int, weights: np.ndarray | None = None):
     """
-    `_eigensystems` of all N^2 blocks, as (N, N, 4) values and (N, N, 4, 4)
-    vectors, diagonalizing one block per orbit of the coin's symmetry group.
+    The clustered spectrum of all N^2 blocks, (labels, centres,
+    multiplicities, sums), from one block per orbit of the coin's symmetry
+    group: (N+1)(N+3)/8 for grover, ((N+1)/2)^2 for a1, a2 and a4:p,
+    (N^2+1)/2 for a real coin with no lattice symmetry, N^2 for a complex one.
 
-    The orbit representatives of `_orbits` are solved straight into the
-    grid; every other block k is filled from its representative through
-    the element (g, phi) of `_coin_symmetries` that takes k there:
-    V(k) = diag(phi)^-1 P_g^T V(rep) with the values copied, or, for a
-    conjugating element, the same of conj(V(rep)) with the values
-    conjugated and re-sorted.  Permuting rows and multiplying them by +-1,
-    +-i is exact, so the checks of `_eigensystems` on the representatives
-    cover every block.  That is (N+1)(N+3)/8 blocks for grover, ((N+1)/2)^2
-    for a1, a2 and a4:p, (N^2+1)/2 for a real coin with no lattice symmetry
-    and N^2, every block, for a complex coin with none.
+    Each representative of `_orbits` gives a row of its eigenvalues for the
+    members that unitary elements (g, phi) of `_coin_symmetries` reach, and
+    a conjugate row where conjugating elements reach members.  Members have
+    their row's values bit for bit, so the rows are clustered once, each
+    counted by its members.  `sums` (K, 4) add every member's projections
+    v (v^H weights), V(k) = diag(phi)^-1 P_g^T V(rep) (of conj(V(rep)) for a
+    conjugating element): exact, so the checks of `_eigensystems` cover them.
     """
-    size = _check_size(size)
     elements = _coin_symmetries(coin)
-    rep, via = _orbits(elements, size)
-    values = np.empty((size * size, 4), dtype=np.complex128)
-    vectors = np.empty((size * size, 4, 4), dtype=np.complex128)
-    for blocks, found, columns in _eigensystems(coin, np.flatnonzero(via == 0), size):
-        values[blocks], vectors[blocks] = found, columns
-    for e, (g, phi, conjugates) in enumerate(elements[1:], 1):
-        blocks = np.flatnonzero(via == e)
-        source = rep[blocks]
-        filled = vectors[source[:, None], _MAP_INVERSES[g]]
-        filled *= (phi if conjugates else phi.conj())[:, None]
-        if conjugates:
-            values[blocks], vectors[blocks] = _sorted(values[source].conj(), filled.conj())
-        else:
-            values[blocks], vectors[blocks] = values[source], filled
-    return values.reshape(size, size, 4), vectors.reshape(size, size, 4, 4)
+    maps, phases, conjugating = map(np.array, zip(*elements))
+    turns = np.where(conjugating[:, None], phases, phases.conj())[..., None]  # phi^-1 in the end
+    unitary = len(elements) - conjugating.sum()  # the unitary elements come first
+    rep, via = _orbits(elements, _check_size(size))
+    reps = np.flatnonzero(via == 0)
+    # reached[r, e]: element e takes a member to representative r (at most one member)
+    reached = np.zeros((len(reps), len(elements)), dtype=bool)
+    reached[np.searchsorted(reps, rep), via] = True
+    # a row per representative, then one per representative with conjugate members
+    mirror = np.flatnonzero(reached[:, unitary:].any(axis=1))
+    counts = np.concatenate([reached[:, :unitary].sum(1), reached[mirror, unitary:].sum(1)])
+    values = np.empty((len(counts), 4), dtype=np.complex128)
+    terms = None if weights is None else np.empty((len(counts), 4, 4), dtype=np.complex128)
+    for blocks, found, columns in _eigensystems(coin, reps, size):
+        start = np.searchsorted(reps, blocks[0])  # the chunk's representatives are rows
+        chunk = slice(start, start + len(blocks))
+        first, last = np.searchsorted(mirror, (chunk.start, chunk.stop))
+        inner, outer = mirror[first:last] - start, slice(len(reps) + first, len(reps) + last)
+        values[chunk], values[outer] = found, found[inner].conj()
+        if terms is None:
+            continue
+        # every element's member vectors at once, (B, E, 4, 4), then their projections:
+        # zero where the element reaches no member
+        v = columns[:, _MAP_INVERSES[maps]]
+        v *= turns
+        np.conjugate(v[:, unitary:], out=v[:, unitary:])
+        v *= ((v.conj().swapaxes(-1, -2) @ weights) * reached[chunk, :, None])[..., None, :]
+        terms[chunk] = v[:, :unitary].sum(axis=1).swapaxes(-1, -2)
+        terms[outer] = v[inner, unitary:].sum(axis=1).swapaxes(-1, -2)
+    del rep, via, reps, reached, mirror  # only the rows go on to the clustering
+    centres, labels = cluster_labels(values.ravel())
+    multiplicities = np.bincount(labels, np.repeat(counts, 4)).astype(np.intp)
+    sums = None if terms is None else sum_by_label(labels, terms.reshape(-1, 4))
+    return labels.reshape(-1, 4), centres, multiplicities, sums
 
 
 def build_block(coin: Coin, n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -476,27 +487,22 @@ EigenvalueCluster = namedtuple("EigenvalueCluster", ["value", "multiplicity"])
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """
-    The eigenvalues of all N^2 momentum blocks of a coin plus the clustered
-    global spectrum.
+    The clustered spectrum of all N^2 momentum blocks of a coin.
 
-    `values` (N, N, 4) holds each block's eigenvalues in the order of
-    `build_block`; `labels` (N, N, 4) gives the cluster of each entry of
-    `values`, an index into `centres` (K,), the cluster means in the order
-    of `cluster_labels`, and `multiplicities` (K,), their member counts.
+    `labels` (rows, 4) index the cluster of each value of the orbit rows of
+    `_orbit_spectrum` in `centres` (K,), the cluster means in the order of
+    `cluster_labels`; `multiplicities` (K,) count every block's copies.
     """
 
     coin: Coin
     size: int
-    values: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     centres: np.ndarray = field(repr=False)
     multiplicities: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, coin: Coin, size: int) -> "SpectralDecomposition":
-        values = _grid_eigensystems(coin, size)[0]
-        centres, labels = cluster_labels(values.ravel())
-        return cls(coin, size, values, labels.reshape(values.shape), centres, np.bincount(labels))
+        return cls(coin, size, *_orbit_spectrum(coin, size)[:3])
 
     @property
     def clusters(self) -> tuple[EigenvalueCluster, ...]:
@@ -504,12 +510,12 @@ class SpectralDecomposition:
         return tuple(map(EigenvalueCluster, self.centres.tolist(), self.multiplicities.tolist()))
 
     def common_eigenvalues(self) -> tuple[complex, ...]:
-        """Eigenvalues present in every momentum block."""
-        labels = np.sort(self.labels.reshape(-1, 4), axis=-1)
-        # count each cluster once per block: at its first place in the block's sorted labels
+        """Eigenvalues present in every momentum block, so in every row."""
+        labels = np.sort(self.labels, axis=-1)
+        # count each cluster once per row: at its first place in the row's sorted labels
         first = np.diff(labels, axis=-1, prepend=-1) != 0
         present = np.bincount(labels[first], minlength=len(self.centres))
-        return tuple(self.centres[present == self.size ** 2].tolist())
+        return tuple(self.centres[present == len(labels)].tolist())
 
     def max_multiplicity(self) -> int:
         return int(self.multiplicities.max())
@@ -612,17 +618,6 @@ def evolve_spectral(initial: WalkState, coin: Coin, t: int) -> WalkState:
 # Origin-amplitude coefficients
 # ---------------------------------------------------------------------------
 
-def _origin_terms(coin: Coin, weights: np.ndarray, size: int):
-    """
-    Eigenvalues of all N^2 blocks, flattened to (4 N^2,), with the
-    projection v (v^H weights) of the initial chirality vector on each
-    paired eigenvector, (4 N^2, 4), from `_grid_eigensystems`.
-    """
-    values, vectors = _grid_eigensystems(coin, size)
-    terms = vectors * (vectors.conj().swapaxes(-1, -2) @ weights)[..., None, :]
-    return values.reshape(-1), terms.swapaxes(-1, -2).reshape(-1, 4)
-
-
 @dataclass(frozen=True)
 class ClassCoefficients:
     """
@@ -690,9 +685,7 @@ def origin_coefficients(coin: Coin, initial: InitialSpec, size: int) -> OriginEx
     closed-form values.
     """
     weights = initial.weights
-    values, terms = _origin_terms(coin, weights, size)
-    centres, labels = cluster_labels(values)
-    sums = sum_by_label(labels, terms)
+    _, centres, multiplicities, sums = _orbit_spectrum(coin, size, weights)
     c_plus, c_minus = (
         sums[np.abs(centres - target) <= DEGENERACY_TOL].sum(axis=0)
         for target in (1.0, -1.0)
@@ -705,7 +698,7 @@ def origin_coefficients(coin: Coin, initial: InitialSpec, size: int) -> OriginEx
         c_minus=c_minus,
         eigenvalues=centres,
         weights=sums,
-        multiplicities=np.bincount(labels),
+        multiplicities=multiplicities,
     )
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ def test_parse_initial_rejects_bad_input():
         cli.parse_initial("custom:1,0")
     with pytest.raises(ValueError):
         cli.parse_initial("custom:0,0,0,0")
+
+
+@pytest.mark.parametrize("literal,plain", [("3e-170,4e-170,0,0", "3,4,0,0"),
+                                           ("1e200,1e200,0,0", "1,1,0,0")],
+                         ids=["underflow", "overflow"])
+def test_custom_initial_state_far_from_unit_scale(literal, plain, capsys):
+    # |w|^2 underflows to 0 or overflows to inf; w over its largest part normalizes the same
+    printed = []
+    for weights in (literal, plain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["timeavg", "--method", "limit", "--initial", f"custom:{weights}"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert cli.main(["timeavg", "--method", "limit", "--initial", "custom:0,0,0,0"]) == 2
+    assert "cannot be all zero" in capsys.readouterr().err
 
 
 def test_simulate_writes_grid_and_summary(tmp_path, capsys):

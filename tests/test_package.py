@@ -29,3 +29,7 @@ def test_expansion_dataclass_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(qwalk2d.ClassCoefficients)] == [
         "eigenvalue", "weights", "multiplicity",
     ]
+    # the spectrum keeps one row of labels per orbit row, with no (N, N, 4) values grid
+    assert [f.name for f in dataclasses.fields(qwalk2d.SpectralDecomposition)] == [
+        "coin", "size", "labels", "centres", "multiplicities",
+    ]

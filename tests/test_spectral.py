@@ -624,9 +624,15 @@ def label_partition(labels):
     return sorted(np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1))
 
 
+def grid_eigenvalues(coin, size):
+    """Every block's eigenvalues (N^2, 4), each block diagonalized on its own."""
+    blocks = spectral._eigensystems(coin, np.arange(size * size), size)
+    return np.concatenate([values for _, values, _ in blocks])
+
+
 def test_cluster_grover_census_across_branch_cut():
     # the -1 cluster straddles the +-pi cut of the angle sort
-    values = SpectralDecomposition.build(grover_coin(), 41).values.ravel()
+    values = grid_eigenvalues(grover_coin(), 41).ravel()
     centres, labels = cluster_labels(values)
     assert len(centres) == 462
     counts = np.bincount(labels)
@@ -741,8 +747,9 @@ def test_predictor_clusters_the_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "cluster_labels", counting)
     assert localization_predictor(grover_coin(), 9).localizing
-    assert sizes.count(4 * 81) == 1
-    assert max(sizes) == 4 * 81
+    # one row per orbit representative: (N+1)(N+3)/8 = 15 at N=9, four values each
+    assert sizes.count(4 * 15) == 1
+    assert max(sizes) == 4 * 15
 
 
 @pytest.fixture
@@ -838,18 +845,34 @@ def test_exact_routes_hold_one_chunk_of_kernel_temporaries():
         assert peak < bound * size ** 2
 
 
-def test_folded_build_writes_representatives_into_the_grid():
-    # the representatives' eigensystems are solved into the grid arrays, with no
-    # representative-sized copies beside them (678 N^2 bytes with those copies)
-    coin, size = a1_coin(), 101
-    SpectralDecomposition.build(coin, size)
+def traced_peak(call):
+    """The tracemalloc peak of a second call, after a first one has warmed every cache."""
+    call()
     tracemalloc.start()
     try:
-        SpectralDecomposition.build(coin, size)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 640 * size ** 2
+
+
+def test_folded_build_writes_representatives_into_the_grid():
+    # a1's build holds one row per orbit representative and its conjugate row, about
+    # 240 N^2 bytes (678 when every block was copied into an (N, N, 4, 4) grid)
+    size = 101
+    assert traced_peak(lambda: SpectralDecomposition.build(a1_coin(), size)) < 640 * size ** 2
+
+
+@pytest.mark.parametrize("route,bound", [("origin_coefficients", 300), ("build", 150)])
+def test_grover_exact_routes_stay_in_orbit_space(route, bound):
+    # no member block's values or vectors are kept: at N=201 grover's 5151 representatives
+    # peak near 139 and 73 N^2 bytes (832 and 406 with every block filled into a grid)
+    size, coin = 201, grover_coin()
+    call = {
+        "origin_coefficients": lambda: origin_coefficients(coin, InitialSpec.pure("R"), size),
+        "build": lambda: SpectralDecomposition.build(coin, size),
+    }[route]
+    assert traced_peak(call) < bound * size ** 2
 
 
 @pytest.mark.parametrize(
@@ -957,40 +980,28 @@ def test_near_unitary_custom_coin(scale, accepted):
             SpectralDecomposition.build(coin, 21)
 
 
-def spectral_projectors(values, vectors):
-    """Per block, the projector onto the eigenspace of each eigenvalue, (..., 4, 4, 4)."""
-    close = np.abs(values[..., :, None] - values[..., None, :]) <= DEGENERACY_TOL
-    return np.einsum("...ik,...lk,...kj->...lij", vectors, close, np.linalg.inv(vectors))
-
-
 @pytest.mark.parametrize("coin", FOLD_COINS, ids=FOLD_IDS)
 @pytest.mark.parametrize("size", range(3, 22, 2))
 def test_half_grid_eigensystems_match_full_grid_eig(coin, size):
-    values, vectors = spectral._grid_eigensystems(coin, size)
-    # filled blocks keep the order of `_eigensystems`, conjugated ones re-sorted
-    assert np.array_equal(spectral._sorted(values, vectors)[0], values)
+    # the orbit rows against LAPACK's general eigensolver on every block: V diag(l) V^-1
+    # splits w into the terms V[:, j] (V^-1 w)_j, which sum per cluster to the
+    # eigenspace projectors' action on w (eig's vectors within a repeated eigenvalue
+    # need not be orthogonal, so no term is formed from them alone)
+    spec = InitialSpec(0.5, 0.5j, -0.5, 0.5)
     n, m = np.indices((size, size))
     expected, columns = np.linalg.eig(block_matrix(coin, n, m, size))
-    # match each value to its nearest reference value, block by block
-    nearest = np.argmin(np.abs(values[..., :, None] - expected[..., None, :]), axis=-1)
-    matched = np.take_along_axis(expected, nearest, axis=-1)
-    assert np.abs(values - matched).max() < 1e-12
-    projectors = spectral_projectors(expected, columns)
-    matched_projectors = np.take_along_axis(projectors, nearest[..., None, None], axis=-3)
-    assert np.abs(spectral_projectors(values, vectors) - matched_projectors).max() < 1e-12
-    # the clustered spectrum has the multiplicities of the full-grid reference
+    terms = columns * (np.linalg.inv(columns) @ spec.weights)[..., None, :]
     centres, labels = cluster_labels(expected.ravel())
+    reference = np.zeros((len(centres), 4), dtype=complex)
+    np.add.at(reference, labels, terms.swapaxes(-1, -2).reshape(-1, 4))
+    expansion = origin_coefficients(coin, spec, size)
+    assert expansion.multiplicities.tolist() == np.bincount(labels).tolist()
+    assert np.abs(expansion.eigenvalues - centres).max() < 1e-12
+    assert np.abs(expansion.weights - reference).max() < 1e-12
+    # the clustered spectrum has the multiplicities of the full-grid reference
     clusters = SpectralDecomposition.build(coin, size).clusters
     assert [c.multiplicity for c in clusters] == np.bincount(labels).tolist()
     assert np.abs(np.array([c.value for c in clusters]) - centres).max() < 1e-12
-
-
-@pytest.mark.parametrize("coin", FOLD_COINS, ids=FOLD_IDS)
-@pytest.mark.parametrize("size", [3, 9, 21, 51])
-def test_folded_grid_passes_the_kernel_checks_on_every_block(coin, size):
-    values, vectors = spectral._grid_eigensystems(coin, size)
-    n, m = np.indices((size, size))
-    assert_eigensystem(block_matrix(coin, n, m, size), values, vectors, spectral.RESIDUAL_TOL)
 
 
 @pytest.mark.parametrize(
@@ -1021,18 +1032,22 @@ def test_coin_symmetries_are_the_expected_groups(coin, maps, phases):
     assert all(g == h and np.array_equal(phi, psi)
                for (g, phi), (h, psi) in zip(conjugating, expected))
     # each map permutes the phases by pi_g, and is an exact similarity of the blocks:
-    # H(g k) = S H(k) S^-1 with S = P_g diag(phi)
+    # H(g k) = S H(k) S^-1 with S = P_g diag(phi), and H(-g k) = conj(S H(k) S^-1) for a
+    # conjugating element (a zero may change sign)
     size = 21
     n, m = np.indices((size, size))
     blocks = block_matrix(coin, n, m, size)
-    for g, phi in unitary:
+    for g, phi, conjugates in elements:
         swap, sn, sm = spectral._LATTICE_MAPS[g]
         x, y = (m, n) if swap else (n, m)
         pi = np.argsort(spectral._MAP_INVERSES[g])
         assert np.array_equal(momentum_phases(sn * x, sm * y, size),
                               momentum_phases(n, m, size)[..., pi])
         similar = (phi[:, None] * blocks * phi.conj())[..., pi[:, None], pi]
-        assert np.array_equal(block_matrix(coin, sn * x, sm * y, size), similar)
+        if conjugates:
+            assert np.array_equal(block_matrix(coin, -sn * x, -sm * y, size), similar.conj())
+        else:
+            assert np.array_equal(block_matrix(coin, sn * x, sm * y, size), similar)
 
 
 @pytest.mark.parametrize("size", [3, 5, 9, 21, 31])
@@ -1152,7 +1167,7 @@ def test_to_json_equals_json_dumps_of_payload(coin, size):
 
 def test_block_eigenvalue_order_ignores_last_bit_of_real_part():
     # grover's l3, l4 share their real part in theory: l3 (Im < 0) comes first
-    values = SpectralDecomposition.build(grover_coin(), 21).values
+    values = grid_eigenvalues(grover_coin(), 21)
     rounded = np.round(values.real / DEGENERACY_TOL)
     tied = rounded[..., :, None] == rounded[..., None, :]
     later = np.triu(np.ones((4, 4), dtype=bool), k=1)
@@ -1242,23 +1257,37 @@ def test_parity_average_matches_pairwise_pairing(coin, parity, sign):
     "coin", [grover_coin(), a1_coin(), haar_coin()], ids=["grover", "a1", "haar"]
 )
 def test_cluster_objects_equal_a_per_value_reference(coin, size):
-    # the objects `clusters`, `merged` and `classes` build on access, against the
-    # per-cluster tables summed one eigenvalue at a time from the same eigensystems
+    # the objects `clusters`, `merged` and `classes` build on access equal the arrays bit
+    # for bit; the arrays match per-cluster tables summed one eigenvalue at a time from
+    # `build_block` on every block, to the rounding of the summation order
     spec = InitialSpec(0.5, 0.5j, -0.5, 0.5)
-    values, terms = spectral._origin_terms(coin, spec.weights, size)
-    centres, labels = cluster_labels(values)
+    values, terms = [], []
+    for n in range(size):
+        for m in range(size):
+            found, vectors = build_block(coin, n, m, size)
+            values.extend(found.tolist())
+            terms.extend(vectors.T * (vectors.conj().T @ spec.weights)[:, None])
+    centres, labels = cluster_labels(np.array(values))
     counts = [0] * len(centres)
     sums = np.zeros((len(centres), 4), dtype=complex)
     for label, term in zip(labels.tolist(), terms):
         counts[label] += 1
         sums[label] += term
-    clusters = SpectralDecomposition.build(coin, size).clusters
-    assert [(c.value, c.multiplicity) for c in clusters] == list(zip(centres.tolist(), counts))
+    decomposition = SpectralDecomposition.build(coin, size)
+    clusters = decomposition.clusters
+    assert [(c.value, c.multiplicity) for c in clusters] == list(zip(
+        decomposition.centres.tolist(), decomposition.multiplicities.tolist()))
+    assert decomposition.multiplicities.tolist() == counts
+    assert np.abs(decomposition.centres - centres).max() < 1e-12
     expansion = origin_coefficients(coin, spec, size)
-    assert [value for value, _ in expansion.merged] == centres.tolist()
-    for (_, amp), total in zip(expansion.merged, sums):
+    assert expansion.multiplicities.tolist() == counts
+    assert np.abs(expansion.eigenvalues - centres).max() < 1e-12
+    assert np.abs(expansion.weights - sums).max() < 1e-12
+    assert [value for value, _ in expansion.merged] == expansion.eigenvalues.tolist()
+    for (_, amp), total in zip(expansion.merged, expansion.weights):
         assert np.array_equal(amp, total / size ** 2)
     assert len(expansion.classes) == len(centres)
-    for cls, value, total, count in zip(expansion.classes, centres.tolist(), sums, counts):
+    for cls, value, total, count in zip(expansion.classes, expansion.eigenvalues.tolist(),
+                                        expansion.weights, expansion.multiplicities.tolist()):
         assert cls.eigenvalue == value and np.array_equal(cls.weights, total)
         assert cls.multiplicity == count
