@@ -10,15 +10,18 @@ coin and the `custom:` initial state come from `perfbench/inputs.py` at
 seed SEED; the grover `file:` coin holds the diffusion matrix.  OUT.json
 holds, per job, the exit code and the sha256 of its stdout and of the
 file it wrote (null when it wrote none), so two source trees print and
-write the same bytes exactly when their files are equal.  To compare
-with an earlier run, for instance of the parent commit:
+write the same bytes exactly when their digests are equal; it also keeps
+the stdout text of a job that prints at most STDOUT_LINES lines.  To
+compare with an earlier run, for instance of the parent commit:
 
     python3 bench/outputs.py OUT.json --against BASE.json
 
 prints every job whose exit code or digests differ from BASE.json, or
 that is new or missing there, and ends with a tally of the jobs that
 differ, by job kind and coin, split into those whose stdout and those
-whose written file moved.
+whose written file moved.  Under a job whose stdout moved it prints the
+old and the new lines that differ, where both runs kept the text (a
+BASE.json written by an earlier version of this script may hold none).
 
 The exit status is 1 when any job exited non-zero or, with --against,
 when any job differs, is new or is missing; OUT.json is written first.
@@ -30,6 +33,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -52,6 +56,10 @@ from qwalk2d import cli  # noqa: E402
 SEED = 101
 COINS = ("grover", "a1", "a2", "a4:0.3", "haar")
 SIZES = (9, 21)
+#: A job's stdout text is kept in OUT.json when it has at most this many lines.
+STDOUT_LINES = 8
+#: The fields that decide whether a job's outputs moved.
+DIGESTS = ("exit", "stdout_sha256", "file_sha256")
 PARITIES = ("all", "even", "odd")
 #: the diffusion coin as a `file:` coin: -1/2 on the diagonal, 1/2 elsewhere
 GROVER_ENTRIES = [[[-0.5 if i == j else 0.5, 0.0] for j in range(4)] for i in range(4)]
@@ -131,17 +139,32 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """The digest fields in which two records of one job differ."""
+    return [key for key in DIGESTS if new.get(key) != old.get(key)]
+
+
 def differences(base: list, records: list) -> list[str]:
-    """One line per job that differs between two record lists, is new or is missing."""
+    """One line per job that differs between two record lists, is new or is missing, and
+    under a job whose stdout moved, its old and new lines that differ when both runs kept
+    the text."""
     before = {record["job"]: record for record in base}
     after = {record["job"]: record for record in records}
     lines = []
     for job, record in after.items():
         if job not in before:
             lines.append(f"new: {job}")
-        elif record != before[job]:
-            fields = [key for key in record if record[key] != before[job].get(key)]
-            lines.append(f"differs: {job} ({', '.join(fields)})")
+            continue
+        fields = moved(before[job], record)
+        if not fields:
+            continue
+        lines.append(f"differs: {job} ({', '.join(fields)})")
+        old, new = before[job].get("stdout"), record.get("stdout")
+        if "stdout_sha256" in fields and old is not None and new is not None:
+            for a, b in itertools.zip_longest(old.splitlines(), new.splitlines()):
+                if a != b:
+                    lines.extend(f"    {sign} {line}" for sign, line in (("-", a), ("+", b))
+                                 if line is not None)
     lines.extend(f"missing: {job}" for job in before if job not in after)
     return lines
 
@@ -162,7 +185,7 @@ def tally(base: list, records: list) -> list[str]:
     counts = {}
     for record in records:
         old = before.get(record["job"])
-        if old is None or old == record:
+        if old is None or not moved(old, record):
             continue
         row = counts.setdefault(kind_and_coin(record["job"]), [0, 0, 0])
         row[0] += 1
@@ -192,12 +215,15 @@ def main(argv=None) -> int:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = cli.main(command + (["--out", str(out)] if suffix else []))
+            text = stdout.getvalue()
             records.append({
                 "job": name,
                 "exit": code,
-                "stdout_sha256": sha256(stdout.getvalue().encode()),
+                "stdout_sha256": sha256(text.encode()),
                 "file_sha256": sha256(out.read_bytes()) if out.exists() else None,
             })
+            if text.count("\n") <= STDOUT_LINES:
+                records[-1]["stdout"] = text
     payload = {"seed": SEED, "jobs": records}
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     failed = sum(record["exit"] != 0 for record in records)
@@ -206,7 +232,8 @@ def main(argv=None) -> int:
         return 1 if failed else 0
     base = json.loads(args.against.read_text())["jobs"]
     changed = differences(base, records)
-    print("\n".join(changed + [f"{len(changed)} jobs differ from {args.against}"]
+    count = sum(not line.startswith(" ") for line in changed)  # not the moved lines
+    print("\n".join(changed + [f"{count} jobs differ from {args.against}"]
                     + tally(base, records)))
     return 1 if failed or changed else 0
 

@@ -125,9 +125,12 @@ def parse_initial(text: str) -> InitialSpec:
         norm = float(np.sqrt((np.abs(weights) ** 2).sum()))
     if norm == 0.0:
         raise ValueError("custom initial state cannot be all zero")
-    if abs(scale * norm - 1.0) > 1e-6:
-        print(f"warning: normalizing initial state (input norm {scale * norm:.6g})",
-              file=sys.stderr)
+    magnitude = float(scale) * norm  # inf past the float range, with no numpy warning
+    if magnitude == np.inf:  # to 6 digits from the decimal product, as "g" prints a float
+        from decimal import Context, Decimal
+        magnitude = Context(prec=6).multiply(Decimal(float(scale)), Decimal(norm)).normalize()
+    if abs(magnitude - 1) > 1e-6:
+        print(f"warning: normalizing initial state (input norm {magnitude:.6g})", file=sys.stderr)
     weights = weights / norm
     return InitialSpec(*weights)
 

@@ -141,7 +141,9 @@ def _coin_symmetries(coin: Coin) -> list[tuple[int, np.ndarray, bool]]:
     """
     The coin's symmetry group on the momentum grid, as elements
     (g, phi, conjugates): an index into `_LATTICE_MAPS`, a phase vector and
-    whether the element conjugates.  The identity comes first.
+    whether the element conjugates.  The identity comes first, then the
+    other unitary elements, then one conjugating element per unitary one,
+    in their order: `_orbit_spectrum` splits its rows into halves by it.
 
     A lattice map g is an element when P_g diag(phi) A diag(phi)^-1 P_g^T
     equals the coin A exactly for some phi in {1, i, -1, -i}^4, with
@@ -166,19 +168,20 @@ def _orbits(elements, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     For every block, by flat index n N + m: the flat index of its orbit's
     representative under the group `elements`, the orbit's smallest, and
-    the index of the first element that takes the block there.
+    how many elements map the block to itself.  By orbit-stabilizer, an
+    orbit holds len(elements) / fixed blocks.
     """
-    n, m = np.divmod(np.arange(size * size), size)
-    rep = np.arange(size * size)
-    via = np.zeros(size * size, dtype=np.intp)
-    for e, (g, _, conjugates) in enumerate(elements[1:], 1):
+    blocks = np.arange(size * size)
+    n, m = np.divmod(blocks, size)
+    rep, fixed = blocks.copy(), np.ones(size * size, dtype=np.intp)
+    for g, _, conjugates in elements[1:]:
         swap, sn, sm = _LATTICE_MAPS[g]
         x, y = (m, n) if swap else (n, m)
         sign = -1 if conjugates else 1
         image = (sign * sn * x % size) * size + sign * sm * y % size
-        smaller = image < rep
-        rep[smaller], via[smaller] = image[smaller], e
-    return rep, via
+        np.minimum(rep, image, out=rep)
+        fixed += image == blocks
+    return rep, fixed
 
 
 def cluster_labels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,11 +277,10 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int):
     symmetry), one block for `build_block`.
 
     Yields each chunk once checked, as (blocks, values, vectors): its flat
-    indices, the eigenvalues (B, 4), sorted within each block like the
-    centres of `cluster_labels`, and the paired unit eigenvector columns
-    (B, 4, 4).  Where an eigenvalue repeats within a block, its copies are
-    replaced by their mean; its columns are already orthonormal, so every
-    eigenvector matrix is unitary.
+    indices, the eigenvalues (B, 4) in eigh's order, and the paired unit
+    eigenvector columns (B, 4, 4).  Nothing here compares eigenvalues: the
+    copies of a repeated one stay apart for the clustering to join, and
+    its columns are orthonormal, so every eigenvector matrix is unitary.
 
     Raises
     ------
@@ -297,14 +299,6 @@ def _eigensystems(coin: Coin, index: np.ndarray, size: int):
                 f"eigendecomposition failed for the blocks {divmod(int(blocks[0]), size)} "
                 f"to {divmod(int(blocks[-1]), size)}: {exc}"
             )
-        close = np.abs(found[:, :, None] - found[:, None, :]) <= DEGENERACY_TOL
-        for b in np.flatnonzero(close.sum(axis=(-2, -1)) > 4):
-            centres, labels = cluster_labels(found[b])
-            found[b] = centres[labels]
-        # each block in the order of the centres of `cluster_labels`, its columns alike
-        order = np.lexsort((found.imag, np.round(found.real / DEGENERACY_TOL)), axis=-1)
-        found = np.take_along_axis(found, order, axis=-1)
-        columns = np.take_along_axis(columns, order[:, None, :], axis=-1)
         # batch-last (4, 4, B) copies: their einsum takes under half a stacked matmul's time
         h, v = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (h, columns))
         adjoint = np.ascontiguousarray(columns.conj().transpose(2, 1, 0))
@@ -331,61 +325,55 @@ def _orbit_spectrum(coin: Coin, size: int, weights: np.ndarray | None = None):
     group: (N+1)(N+3)/8 for grover, ((N+1)/2)^2 for a1, a2 and a4:p,
     (N^2+1)/2 for a real coin with no lattice symmetry, N^2 for a complex one.
 
-    Each representative of `_orbits` gives a row of its eigenvalues for the
-    members that unitary elements (g, phi) of `_coin_symmetries` reach, and
-    a conjugate row where conjugating elements reach members.  Members have
-    their row's values bit for bit, so the rows are clustered once, each
-    counted by its members.  `sums` (K, 4) add every member's projections
-    v (v^H weights), V(k) = diag(phi)^-1 P_g^T V(rep) (of conj(V(rep)) for a
-    conjugating element): exact, so the checks of `_eigensystems` cover them.
+    Each representative r gives a row (halves, 4): its eigenvalues and, if
+    the group G of `_coin_symmetries` has conjugating elements, their
+    conjugates.  G takes r to each block of its orbit fixed[r] times, so a
+    half-row stands for (elements in that half) / fixed[r] blocks, whose
+    values it holds bit for bit.  `sums` (K, 4) add each element's member
+    projections v (v^H weights) times 1 / fixed[r], V(k) = diag(phi)^-1
+    P_g^T V(r) (of conj(V(r)) if it conjugates), exact, so the checks of
+    `_eigensystems` cover them; shares 1 to 1/8 keep products and counts exact.
     """
     elements = _coin_symmetries(coin)
     maps, phases, conjugating = map(np.array, zip(*elements))
     turns = np.where(conjugating[:, None], phases, phases.conj())[..., None]  # phi^-1 in the end
-    unitary = len(elements) - conjugating.sum()  # the unitary elements come first
-    rep, via = _orbits(elements, _check_size(size))
-    reps = np.flatnonzero(via == 0)
-    # reached[r, e]: element e takes a member to representative r (at most one member)
-    reached = np.zeros((len(reps), len(elements)), dtype=bool)
-    reached[np.searchsorted(reps, rep), via] = True
-    # a row per representative, then one per representative with conjugate members
-    mirror = np.flatnonzero(reached[:, unitary:].any(axis=1))
-    counts = np.concatenate([reached[:, :unitary].sum(1), reached[mirror, unitary:].sum(1)])
-    values = np.empty((len(counts), 4), dtype=np.complex128)
-    terms = None if weights is None else np.empty((len(counts), 4, 4), dtype=np.complex128)
-    for blocks, found, columns in _eigensystems(coin, reps, size):
-        start = np.searchsorted(reps, blocks[0])  # the chunk's representatives are rows
-        chunk = slice(start, start + len(blocks))
-        first, last = np.searchsorted(mirror, (chunk.start, chunk.stop))
-        inner, outer = mirror[first:last] - start, slice(len(reps) + first, len(reps) + last)
-        values[chunk], values[outer] = found, found[inner].conj()
+    halves = 1 + conjugating.any()  # the conjugating elements, one per unitary one, come last
+    per_half = len(elements) // halves
+    rep, fixed = _orbits(elements, _check_size(size))
+    reps = rep == np.arange(size * size)
+    share = 1.0 / fixed[reps]
+    # the generator last, so that the loop ends in its StopIteration and frees its last chunk
+    chunks = zip(itertools.count(0, EIGH_CHUNK), _eigensystems(coin, np.flatnonzero(reps), size))
+    del rep, fixed, reps  # only the representatives' rows are kept
+    values = np.empty((len(share), halves, 4), dtype=np.complex128)
+    terms = None if weights is None else np.empty((len(share), halves, 4, 4), dtype=np.complex128)
+    for start, (_, found, columns) in chunks:
+        rows = slice(start, start + len(found))
+        values[rows] = np.stack([found, found.conj()][:halves], axis=1)
         if terms is None:
             continue
-        # every element's member vectors at once, (B, E, 4, 4), then their projections:
-        # zero where the element reaches no member
+        # every element's member vectors at once, (B, E, 4, 4), then their shared projections
         v = columns[:, _MAP_INVERSES[maps]]
         v *= turns
-        np.conjugate(v[:, unitary:], out=v[:, unitary:])
-        v *= ((v.conj().swapaxes(-1, -2) @ weights) * reached[chunk, :, None])[..., None, :]
-        terms[chunk] = v[:, :unitary].sum(axis=1).swapaxes(-1, -2)
-        terms[outer] = v[inner, unitary:].sum(axis=1).swapaxes(-1, -2)
-    del rep, via, reps, reached, mirror  # only the rows go on to the clustering
+        np.conjugate(v[:, per_half:], out=v[:, per_half:])
+        v *= ((v.conj().swapaxes(-1, -2) @ weights) * share[rows, None, None])[..., None, :]
+        terms[rows] = v.reshape(len(found), halves, per_half, 4, 4).sum(2).swapaxes(-1, -2)
     centres, labels = cluster_labels(values.ravel())
-    multiplicities = np.bincount(labels, np.repeat(counts, 4)).astype(np.intp)
+    multiplicities = np.bincount(labels, np.repeat(per_half * share, 4 * halves)).astype(np.intp)
     sums = None if terms is None else sum_by_label(labels, terms.reshape(-1, 4))
     return labels.reshape(-1, 4), centres, multiplicities, sums
 
 
 def build_block(coin: Coin, n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """
-    Diagonalize block (n, m) numerically: its eigenvalues (4,), ordered as
-    in `_eigensystems`, and the paired unit eigenvector columns (4, 4),
-    orthonormal within each degenerate eigenvalue.
+    Diagonalize block (n, m) numerically: its eigenvalues (4,), in eigh's
+    order as `_eigensystems` yields them, and the paired unit eigenvector
+    columns (4, 4), orthonormal within a repeated eigenvalue.
 
     Raises
     ------
     SpectralError
-        If the eigensolver fails, or an eigenpair residual or the deviation
+        If the eigensolver fails, or an eigenpair residual or the distance
         of the eigenvectors from orthonormality exceeds 1e-10; the message
         carries the block coordinates.
     """
@@ -489,9 +477,10 @@ class SpectralDecomposition:
     """
     The clustered spectrum of all N^2 momentum blocks of a coin.
 
-    `labels` (rows, 4) index the cluster of each value of the orbit rows of
-    `_orbit_spectrum` in `centres` (K,), the cluster means in the order of
-    `cluster_labels`; `multiplicities` (K,) count every block's copies.
+    `labels` (rows, 4) index the cluster of each value of the orbit
+    half-rows of `_orbit_spectrum` in `centres` (K,), the cluster means in
+    the order of `cluster_labels`; `multiplicities` (K,) count every
+    block's copies.
     """
 
     coin: Coin

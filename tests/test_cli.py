@@ -90,6 +90,24 @@ def test_custom_initial_state_far_from_unit_scale(literal, plain, capsys):
     assert "cannot be all zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal,plain,norm", [("1e308,1e308,1e308,1e308", "1,1,1,1", "2e+308"),
+                                                ("1.7e308,1.7e308,0,0", "1,1,0,0", "2.40416e+308")],
+                         ids=["four", "two"])
+def test_custom_initial_state_past_the_float_range(literal, plain, norm, capsys):
+    # the input norm itself exceeds the float range: the run prints what the scaled input
+    # prints, with no warning from numpy, and the note gives the norm's decimal value
+    printed = []
+    for weights in (literal, plain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["timeavg", "--method", "exact", "--n", "5",
+                             "--initial", f"custom:{weights}"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0].out == printed[1].out
+    assert f"(input norm {norm})" in printed[0].err
+    assert "RuntimeWarning" not in printed[0].err and "inf" not in printed[0].err
+
+
 def test_simulate_writes_grid_and_summary(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = cli.main(
