@@ -104,7 +104,7 @@ def trajectory_paths(lattice):
     """`lattice`: the sizes at which scaling times evolve(grover, t=N)."""
     grover, a1, a2 = qw.grover_coin(), qw.a1_coin(), qw.a2_coin()
     pure_r = qw.InitialSpec.pure("R")
-    haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
+    haar = qw.Coin(haar_unitary(np.random.default_rng(101)), label="haar")
     return [
         ("evolve(a1, t=N)", lattice, lambda n: qw.evolve(qw.pure_state(n, "R"), a1, n)),
         ("evolve(haar, t=N)", lattice, lambda n: qw.evolve(qw.pure_state(n, "R"), haar, n)),
@@ -152,7 +152,7 @@ def product_paths():
     operands of `product_operands`, PRODUCTS times per call: stacked over
     the lattice rows, as `evolve`'s bands multiply, and as one flat product.
     """
-    haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
+    haar = qw.Coin(haar_unitary(np.random.default_rng(101)), label="haar")
     paths = []
     for coin in (qw.grover_coin(), haar):
         for flat in (False, True):
@@ -207,7 +207,7 @@ def writer_paths(tmp: pathlib.Path):
 
 def exact_coins():
     """The coins of the exact rows: grover, a1 and the seed-101 Haar coin."""
-    haar = qw.custom_coin(haar_unitary(np.random.default_rng(101)), label="haar")
+    haar = qw.Coin(haar_unitary(np.random.default_rng(101)), label="haar")
     return {"grover": qw.grover_coin(), "a1": qw.a1_coin(), "haar": haar}
 
 
@@ -279,7 +279,7 @@ def direct_paths():
 
 def paired_paths(tmp: pathlib.Path):
     """
-    The rows of a paired run: `SpectralDecomposition.build`, its `to_json`,
+    The rows of a paired run: `SpectralDecomposition.build`, its `write_json`,
     `origin_coefficients` and the three commands of `command_paths` for
     each of `exact_coins` at PAIRED_SIZES, the four grid writers at N = 201,
     `scan-alpha` through `qwalk2d.cli.main`, and `direct_paths`.
@@ -292,8 +292,8 @@ def paired_paths(tmp: pathlib.Path):
         paths += [
             (f"SpectralDecomposition.build({name})", PAIRED_SIZES,
              functools.partial(qw.SpectralDecomposition.build, coin)),
-            (f"SpectralDecomposition.to_json({name})", PAIRED_SIZES,
-             lambda n, name=name: built(name, n).to_json()),
+            (f"SpectralDecomposition.write_json({name})", PAIRED_SIZES,
+             lambda n, name=name: built(name, n).write_json(io.StringIO())),
             (f"origin_coefficients({name}, R)", PAIRED_SIZES,
              lambda n, coin=coin: qw.origin_coefficients(coin, pure_r, n)),
         ]

@@ -29,7 +29,7 @@ from . import timeavg as ta
 from .coins import (CHIRALITIES, Coin, a1_coin, a2_coin, coin_from_json, grover_coin,
                     symmetric_family)
 from .evolve import evolve
-from .spectral import SpectralDecomposition, SpectralError, evolve_spectral
+from .spectral import DEGENERACY_TOL, SpectralDecomposition, SpectralError, evolve_spectral
 from .state import InitialSpec, _check_size, origin_superposition, write_grid_csv, write_grid_json
 
 __all__ = ["main", "parse_coin", "parse_complex", "parse_initial", "run"]
@@ -142,7 +142,8 @@ EMPIRICAL_SAMPLES = 20000
 #: 990 N^2 bytes in `timeavg --method exact --parity odd` (1.0 GB at N = 1001) and at most 470
 #: N^2 in `spectrum`, which streams its text, and `predict` (grover: 380 N^2 at most).
 MAX_N = 1001
-#: Largest `scan-alpha --samples`: the scan and its CSV text peak near 248 bytes a sample, 1 GB.
+#: Largest `scan-alpha --samples`: it peaks near 248 bytes a sample, 1 GB, all in `scan_alpha`'s
+#: arrays, since the CSV text streams a chunk of rows at a time, to stdout as to `--out`.
 MAX_SCAN_SAMPLES = 4_000_000
 #: Largest N^2 * steps of direct evolution (`simulate`, `timeavg --method empirical`): at the
 #: 8.6e7 site-steps a second of grover at N = 201, t = N on a 2-vCPU host, about 20 minutes.
@@ -248,9 +249,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _format_value(value: complex) -> str:
-    if abs(value.imag) < 1e-9:
-        return f"{value.real:.12g}"
-    return f"{value.real:.12g}{value.imag:+.12g}i"
+    # a part within DEGENERACY_TOL of 0 is rounding noise: the real one prints as 0
+    real = value.real if abs(value.real) >= DEGENERACY_TOL else 0.0
+    if abs(value.imag) < DEGENERACY_TOL:
+        return f"{real:.12g}"
+    return f"{real:.12g}{value.imag:+.12g}i"
 
 
 def _cmd_timeavg(args) -> int:
@@ -288,10 +291,7 @@ def _cmd_timeavg(args) -> int:
 
 
 def _cmd_scan_alpha(args) -> int:
-    if args.out:
-        ta.write_scan_csv(args.out, args.samples)
-    else:
-        print(ta.scan_csv(args.samples), end="")
+    ta.write_scan_csv(args.out or sys.stdout, args.samples)
     return 0
 
 

@@ -11,8 +11,8 @@ Every coin is a 4x4 complex unitary acting on the chirality space
 - symmetric_family(p): a one-parameter real symmetric family that
   reduces to the diffusion coin at p = 1/2 and localizes for every
   p in (0, 1).
-- custom_coin(entries): any user-supplied matrix, accepted after a
-  unitarity check.
+- Coin(entries, label): any user-supplied matrix, accepted after a
+  finiteness and unitarity check.
 
 Coins are immutable after construction and safe to share across threads.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "a2_coin",
     "chirality_index",
     "coin_from_json",
-    "custom_coin",
     "grover_coin",
     "symmetric_family",
     "unitarity_residual",
@@ -205,26 +204,6 @@ def symmetric_family(p: float) -> Coin:
     return _builtin(entries, f"a4(p={p:g})")
 
 
-def custom_coin(entries, label: str = "custom") -> Coin:
-    """
-    Build a coin from user-supplied entries after a unitarity check.
-
-    Parameters
-    ----------
-    entries: array_like
-        4x4 complex matrix with |C†C - I| below 1e-9 entrywise.
-    label: str
-        Identifier carried into reports.
-
-    Raises
-    ------
-    ValueError
-        If the matrix is not 4x4 or fails the unitarity check; the
-        message reports the measured residual.
-    """
-    return Coin(np.asarray(entries, dtype=np.complex128), label)
-
-
 def coin_from_json(path) -> Coin:
     """
     Load a custom coin from a JSON file.
@@ -252,4 +231,4 @@ def coin_from_json(path) -> Coin:
     if arr.shape != (4, 4, 2):
         raise ValueError(f"{expected}, got shape {arr.shape}")
     entries = arr[..., 0] + 1j * arr[..., 1]
-    return custom_coin(entries, label=path.stem)
+    return Coin(entries, path.stem)

@@ -519,13 +519,9 @@ class SpectralDecomposition:
         return {"coin": self.coin.label, "N": self.size, "clusters": [
             {"value": [re, im], "multiplicity": count} for count, re, im in rows]}
 
-    def to_json(self) -> str:
-        """`json.dumps(self.to_payload(), indent=2, sort_keys=True)` plus a newline."""
-        return "".join(self._json_text())
-
     def write_json(self, path) -> None:
-        """Write `to_json`'s text to `path`, a file name or an open text stream, a chunk of
-        rows at a time, never joining it."""
+        """Write `json.dumps(self.to_payload(), indent=2, sort_keys=True)` plus a newline to
+        `path`, a file name or an open text stream, a chunk of rows at a time, never joining it."""
         _write_parts(path, self._json_text())
 
     def _json_text(self):

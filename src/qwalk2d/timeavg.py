@@ -27,6 +27,7 @@ same with A_l l in place of A_l, giving |A(l) - A(-l)|^2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pathlib
@@ -39,7 +40,8 @@ import numpy as np
 from .coins import CHIRALITIES, Coin, chirality_index, grover_coin
 from .evolve import check_norm, trajectory
 from .spectral import SpectralDecomposition, cluster_labels, origin_coefficients, sum_by_label
-from .state import ConsistencyError, InitialSpec, WalkState, _check_size, _table_rows
+from .state import (ConsistencyError, InitialSpec, WalkState, _check_size, _table_rows,
+                    _write_parts)
 
 __all__ = [
     "AlphaExtrema",
@@ -57,7 +59,6 @@ __all__ = [
     "limit_time_average",
     "localization_predictor",
     "scan_alpha",
-    "scan_csv",
     "write_report_json",
     "write_scan_csv",
 ]
@@ -329,14 +330,11 @@ def scan_alpha(samples: int) -> np.ndarray:
     return np.column_stack([alphas, amps[:, :2] ** 2])
 
 
-def scan_csv(samples: int) -> str:
-    """`scan_alpha` as CSV text: the header `alpha,p_R,p_L`, then one `%.17g` row per sample."""
-    rows = _table_rows(["", ",", ",", "\n"], list(scan_alpha(samples).T), shortest=False)
-    return "".join(["alpha,p_R,p_L\n", *rows])
-
-
 def write_scan_csv(path, samples: int) -> None:
-    pathlib.Path(path).write_text(scan_csv(samples))
+    """Write `scan_alpha` as CSV to `path`, a file name or an open text stream: the header
+    `alpha,p_R,p_L`, then one `%.17g` row per sample, a chunk of rows at a time."""
+    rows = _table_rows(["", ",", ",", "\n"], list(scan_alpha(samples).T), shortest=False)
+    _write_parts(path, itertools.chain(["alpha,p_R,p_L\n"], rows))
 
 
 @dataclass(frozen=True)

@@ -373,9 +373,12 @@ def test_timeavg_empirical_small_horizon(capsys):
     assert 0.0 < total < 1.0
 
 
-def test_scan_alpha_csv(tmp_path):
+def test_scan_alpha_csv(tmp_path, capsysbinary):
     out = tmp_path / "scan.csv"
     assert cli.main(["scan-alpha", "--samples", "201", "--out", str(out)]) == 0
+    # stdout gets the same bytes, through the same writer
+    assert cli.main(["scan-alpha", "--samples", "201"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "alpha,p_R,p_L"
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
@@ -383,17 +386,32 @@ def test_scan_alpha_csv(tmp_path):
     assert best[0] == pytest.approx(0.26357, abs=0.011)
 
 
-def test_predict_outputs(capsys):
+def test_predict_outputs(tmp_path, capsys):
     assert cli.main(["predict", "--coin", "a2", "--n", "9"]) == 0
     assert capsys.readouterr().out.startswith("localizing: no")
     assert cli.main(["predict", "--coin", "grover", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("localizing: yes")
     assert "common eigenvalues: -1, 1" in out
+    # i grover keeps +-i in every block; their real parts come out near 1e-18, which
+    # prints as 0, as an imaginary part below DEGENERACY_TOL is dropped
+    for phase, want in [(1j, "0-1i, 0+1i"),
+                        (np.exp(0.7j), "-0.764842187284-0.644217687238i, "
+                                       "0.764842187284+0.644217687238i")]:
+        path = tmp_path / "phased.json"
+        path.write_text(json.dumps([[[v.real, v.imag] for v in row]
+                                    for row in (phase * grover_coin().entries).tolist()]))
+        for size in ("5", "9"):
+            assert cli.main(["predict", "--coin", f"file:{path}", "--n", size]) == 0
+            assert f"common eigenvalues: {want}\n" in capsys.readouterr().out
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
+    assert cli.main(["timeavg", "--method", "exact", "--coin", "grover"]) == 2
+    assert "--n is required for the exact method" in capsys.readouterr().err
+    assert cli.main(["timeavg", "--n", "5", "--initial", "custom:,1,0,0"]) == 2
+    assert "empty complex literal" in capsys.readouterr().err
     assert cli.main(["simulate", "--coin", "a3", "--n", "5", "--steps", "1",
                      "--out", out]) == 2
     assert cli.main(["simulate", "--coin", "a4:1.5", "--n", "5", "--steps", "1",

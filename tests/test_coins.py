@@ -9,7 +9,6 @@ from qwalk2d import (
     a1_coin,
     a2_coin,
     coin_from_json,
-    custom_coin,
     grover_coin,
     symmetric_family,
     unitarity_residual,
@@ -85,23 +84,23 @@ def test_real_symmetry():
 
 
 def test_custom_identity_accepted():
-    coin = custom_coin(np.eye(4), label="identity")
+    coin = Coin(np.eye(4), label="identity")
     assert coin.label == "identity"
 
 
 def test_custom_zeros_rejected_with_residual():
     with pytest.raises(ValueError, match="residual"):
-        custom_coin(np.zeros((4, 4)))
+        Coin(np.zeros((4, 4)))
 
 
 def test_custom_grover_equals_builtin():
-    coin = custom_coin(grover_coin().entries)
+    coin = Coin(grover_coin().entries)
     assert np.array_equal(coin.entries, grover_coin().entries)
 
 
 def test_custom_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        custom_coin(np.eye(3))
+        Coin(np.eye(3))
 
 
 def test_coin_entries_read_only():
@@ -140,7 +139,7 @@ def test_non_finite_entry_rejected(value):
     entries = grover_coin().entries.copy()
     entries[2, 1] = value
     with pytest.raises(ValueError, match="non-finite"):
-        custom_coin(entries)
+        Coin(entries)
     with pytest.raises(ValueError, match="non-finite"):
         Coin(entries)
 

@@ -1,6 +1,7 @@
 import importlib
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import qwalk2d
 from qwalk2d import (
+    Coin,
     ConsistencyError,
     WalkState,
     a1_coin,
     a2_coin,
-    custom_coin,
     empirical_time_average,
     evolve,
     evolve_spectral,
@@ -35,7 +36,7 @@ def random_unitary_coin(seed: int):
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
     q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
-    return custom_coin(q, label=f"random-{seed}")
+    return Coin(q, label=f"random-{seed}")
 
 
 def reference_step(amplitudes, coin):
@@ -55,9 +56,9 @@ def random_state(n, seed):
 
 
 def random_orthogonal_coin(seed: int):
-    """A real coin passed to `custom_coin` as a complex array with every imaginary part 0."""
+    """A real coin passed to `Coin` as a complex array with every imaginary part 0."""
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
-    return custom_coin(q + 0j, label=f"orthogonal-{seed}")
+    return Coin(q + 0j, label=f"orthogonal-{seed}")
 
 
 # real coins take the stepper's real (8, 8) product, complex ones the complex (4, 4) product
@@ -68,7 +69,7 @@ KERNEL_COINS = [
     a2_coin(),
     symmetric_family(0.3),
     random_orthogonal_coin(5),
-    custom_coin(grover_coin().entries * np.exp(1e-9j), label="grover-phase-1e-9"),
+    Coin(grover_coin().entries * np.exp(1e-9j), label="grover-phase-1e-9"),
 ]
 
 
@@ -235,6 +236,39 @@ def test_failing_band_raises_in_caller_and_joins_every_thread(monkeypatch, faili
     assert threading.active_count() == before
 
 
+def test_band_thread_that_fails_to_start_raises_in_caller_and_releases_the_others(monkeypatch):
+    # the second band thread cannot start, as when the process is out of threads, while
+    # the first already waits at the barrier: the caller must abort the barrier, join
+    # that thread and raise the start error
+    barriers, band_starts = [], []
+    caller, start = threading.current_thread(), threading.Thread.start
+
+    class RecordedBarrier(threading.Barrier):
+        def __init__(self, parties):
+            super().__init__(parties)
+            barriers.append(self)
+
+    def failing_start(thread):
+        # run_bounded's helper is started by the test's thread, the bands by the helper
+        if threading.current_thread() is not caller:
+            band_starts.append(thread)
+            if len(band_starts) == 2:
+                deadline = time.monotonic() + 10.0
+                while barriers[0].n_waiting < 1 and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+                raise RuntimeError("can't start new thread")
+        return start(thread)
+
+    monkeypatch.setattr(threading, "Barrier", RecordedBarrier)
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    before = threading.active_count()
+    finished, error = run_bounded(lambda: banded(pure_state(21, "R"), grover_coin(), 50, 3))
+    assert finished, "evolve did not return after a band thread failed to start"
+    assert type(error) is RuntimeError and str(error) == "can't start new thread"
+    assert barriers[0].n_waiting == 0 and len(band_starts) == 2
+    assert threading.active_count() == before
+
+
 def reference_empirical(initial, coin, horizon, site, parity):
     """Per-step loop over every t < horizon, stepping by `reference_step`."""
     ix, iy = site[0] % initial.n, site[1] % initial.n
@@ -310,7 +344,7 @@ def test_planted_nan_coin_raises_consistency_error():
 def test_admitted_decimal_coin_runs_long_without_raising():
     # Coin admits entrywise residuals up to 1e-9; this one is 4e-10, so the
     # norm^2 grows by about 4e-10 a step, past NORM_TOL within a step
-    coin = custom_coin((1 + 2e-10) * grover_coin().entries)
+    coin = Coin((1 + 2e-10) * grover_coin().entries)
     state = evolve(pure_state(5, "R"), coin, 20_000)
     assert state.norm_sq() - 1.0 > 1e-6
     report = empirical_time_average(pure_state(5, "R"), coin, 20_000)
@@ -318,7 +352,7 @@ def test_admitted_decimal_coin_runs_long_without_raising():
 
 
 def test_identity_coin_is_pure_right_shift():
-    identity = custom_coin(np.eye(4), label="identity")
+    identity = Coin(np.eye(4), label="identity")
     state = evolve(pure_state(5, "R"), identity, 3)
     assert state.amplitude(-2, 0, "R") == 1.0  # 3 steps right wraps to -2 on N=5
     state = evolve(pure_state(5, "R"), identity, 5)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwalk2d import spectral
 from qwalk2d import (
+    Coin,
     ConsistencyError,
     InitialSpec,
     SpectralDecomposition,
@@ -17,7 +19,6 @@ from qwalk2d import (
     a1_eigenvalues,
     a2_coin,
     build_block,
-    custom_coin,
     evolve,
     evolve_spectral,
     exact_time_average,
@@ -46,18 +47,18 @@ def haar_coin(seed: int = 11):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
-    return custom_coin(q * np.exp(-1j * np.angle(np.diag(r)))[None, :], label="haar")
+    return Coin(q * np.exp(-1j * np.angle(np.diag(r)))[None, :], label="haar")
 
 
 def orthogonal_coin(seed: int = 5):
     """A real orthogonal coin with no lattice symmetry."""
     q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
-    return custom_coin(q, label="orthogonal")
+    return Coin(q, label="orthogonal")
 
 
 def complex_grover():
     """The grover coin times e^{0.3 i}: complex, with every lattice symmetry of grover."""
-    return custom_coin(grover_coin().entries * np.exp(0.3j), label="complex-grover")
+    return Coin(grover_coin().entries * np.exp(0.3j), label="complex-grover")
 
 
 #: Every coin class of the symmetry fold: four real coins with lattice
@@ -938,7 +939,7 @@ def test_kernel_on_an_in_block_pair(gap, distinct):
     # each with its own checked column, and `cluster_labels` alone decides whether they
     # are one eigenvalue: within DEGENERACY_TOL they join, as a pair from two blocks does
     values = np.exp(1j * np.array([0.7, 0.7 + gap, 2.5, -2.0]))
-    coin = custom_coin(unitary_with_eigenvalues(values))
+    coin = Coin(unitary_with_eigenvalues(values))
     _, got, vectors = (a[0] for a in next(spectral._eigensystems(coin, [0], 9)))
     assert_eigensystem(coin.entries, got, vectors, tol=1e-12)
     assert len(cluster_labels(got)[0]) == distinct
@@ -966,7 +967,7 @@ def test_near_unitary_custom_coin(scale, accepted):
     # names the block
     rng = np.random.default_rng(12)
     perturbation = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    coin = custom_coin(haar_coin().entries + scale * perturbation / np.abs(perturbation).max())
+    coin = Coin(haar_coin().entries + scale * perturbation / np.abs(perturbation).max())
     if accepted:
         assert len(SpectralDecomposition.build(coin, 21).clusters) == 4 * 21 ** 2
     else:
@@ -1167,14 +1168,16 @@ def cluster_sequences(decomposition):
 @pytest.mark.parametrize(
     "coin",
     [grover_coin(), a1_coin(), a2_coin(), symmetric_family(0.3), haar_coin(101),
-     custom_coin(a1_coin().entries, label='say "hi" \\ caf\u00e9\n  "clusters": 0,\n')],
+     Coin(a1_coin().entries, label='say "hi" \\ caf\u00e9\n  "clusters": 0,\n')],
     ids=["grover", "a1", "a2", "a4:0.3", "haar-101", "escaped-label"],
 )
 @pytest.mark.parametrize("size", [9, 21])
 def test_to_json_equals_json_dumps_of_payload(coin, size):
     decomposition = SpectralDecomposition.build(coin, size)
     want = json.dumps(decomposition.to_payload(), indent=2, sort_keys=True) + "\n"
-    assert decomposition.to_json() == want
+    out = io.StringIO()
+    decomposition.write_json(out)
+    assert out.getvalue() == want
 
 
 def test_block_eigenvalue_order_ignores_last_bit_of_real_part():

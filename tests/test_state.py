@@ -12,6 +12,7 @@ from qwalk2d import (
     SpectralDecomposition,
     WalkState,
     a1_coin,
+    chirality_index,
     coords,
     evolve,
     evolve_spectral,
@@ -38,6 +39,10 @@ def test_pure_state_any_site_and_chirality():
     state = pure_state(7, 3, x=-3, y=2)
     assert state.amplitude(-3, 2, "D") == 1.0
     assert state.probability_at(-3, 2) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="unknown chirality"):
+        chirality_index("X")
+    with pytest.raises(ValueError, match="out of range"):
+        chirality_index(4)
 
 
 @pytest.mark.parametrize("n", [4, 2, 0, -5, 1])

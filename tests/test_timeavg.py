@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -11,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import qwalk2d
 from qwalk2d import (
+    Coin,
     ConsistencyError,
     InitialSpec,
     a1_coin,
     a2_coin,
     alpha_extrema,
     closed_form_report,
-    custom_coin,
     empirical_time_average,
     exact_time_average,
     grover_closed_form,
@@ -29,7 +30,6 @@ from qwalk2d import (
     origin_superposition,
     pure_state,
     scan_alpha,
-    scan_csv,
     symmetric_family,
     write_report_json,
     write_scan_csv,
@@ -86,6 +86,8 @@ def test_exact_parity_matches_closed_form(parity):
     assert report.per_chirality[0] == pytest.approx(
         grover_closed_form(5, parity), abs=1e-10
     )
+    with pytest.raises(ValueError, match="parity must be one of"):
+        exact_time_average(grover_coin(), PURE_R, 5, parity="both")
 
 
 @pytest.mark.parametrize("coin", [grover_coin(), a1_coin(), symmetric_family(0.4)])
@@ -107,7 +109,7 @@ def test_exact_parity_average_identity_random_coin_and_weights(seed, size):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
-    coin = custom_coin(q * np.exp(-1j * np.angle(np.diag(r)))[None, :], label="haar")
+    coin = Coin(q * np.exp(-1j * np.angle(np.diag(r)))[None, :], label="haar")
     weights = rng.normal(size=4) + 1j * rng.normal(size=4)
     spec = InitialSpec(*(weights / np.linalg.norm(weights)))
     full = np.array(exact_time_average(coin, spec, size).per_chirality)
@@ -126,7 +128,7 @@ def test_empirical_single_sample_is_initial_probability():
 
 def test_empirical_identity_coin_hand_values():
     # identity coin: walker circles the torus with period N
-    identity = custom_coin(np.eye(4), label="identity")
+    identity = Coin(np.eye(4), label="identity")
     state = origin_superposition(5, PURE_R)
     assert empirical_time_average(state, identity, 5).per_chirality[0] == pytest.approx(1 / 5)
     assert empirical_time_average(state, identity, 5, parity="even").per_chirality[
@@ -321,10 +323,12 @@ def test_scan_csv_export(tmp_path):
 
 @pytest.mark.parametrize("samples", [2, 3, 201, 2001, 20001])
 def test_scan_csv_matches_f_string_rows(samples):
-    # the per-row f-strings scan_csv used before it wrote through the number kernel
+    # the per-row f-strings the scan CSV used before it wrote through the number kernel
     lines = ["alpha,p_R,p_L"]
     lines.extend(f"{a:.17g},{r:.17g},{l:.17g}" for a, r, l in scan_alpha(samples))
-    assert scan_csv(samples) == "\n".join(lines) + "\n"
+    out = io.StringIO()
+    write_scan_csv(out, samples)
+    assert out.getvalue() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
